@@ -1,0 +1,188 @@
+"""Byte pins: the SHA-256 of the stdout of the catalog commands.
+
+Refactors of the kernel, the derivations or the limit code must leave
+every CLI document byte-identical.  Run-to-run determinism alone would
+not catch a change that is stable but different, so each command below
+is pinned by the digest of its exact output.
+"""
+
+import hashlib
+import io
+import sys
+
+import pytest
+
+from qheun.cli import run
+from qheun.climit import preset_names
+from qheun.lax import KNY_FAMILIES, MURATA_FAMILIES
+
+
+def _stdout(argv, stdin=""):
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdout, sys.stderr, sys.stdin
+    sys.stdout, sys.stderr, sys.stdin = out, err, io.StringIO(stdin)
+    try:
+        code = run(argv)
+    finally:
+        sys.stdout, sys.stderr, sys.stdin = saved
+    assert code == 0, err.getvalue()
+    return out.getvalue()
+
+
+_ROWS = ([("murata", f) for f in MURATA_FAMILIES] +
+         [("kny", f) for f in KNY_FAMILIES])
+
+
+def _derive(catalog, family, *extra):
+    return ["derive", "--catalog", catalog, "--family", family, *extra]
+
+
+def _cases():
+    """Label -> (argv, argv of the command whose stdout feeds stdin)."""
+    cases = {}
+    for catalog, family in _ROWS:
+        cases[" ".join(_derive(catalog, family))] = (
+            _derive(catalog, family), None)
+    for family in ("E3a", "E2a", "A1w8"):
+        argv = _derive("kny", family, "--no-gauge")
+        cases[" ".join(argv)] = (argv, None)
+    for family in ("A5", "A6"):
+        argv = _derive("murata", family, "--variant", "alt")
+        cases[" ".join(argv)] = (argv, None)
+    cases["verify"] = (["verify"], None)
+    for preset in preset_names():
+        cases["limit --preset " + preset] = (["limit", "--preset", preset],
+                                             None)
+    for catalog, family in _ROWS:
+        for at in ("zero", "infinity"):
+            cases["exponents --at %s < %s %s" % (at, catalog, family)] = (
+                ["exponents", "--at", at], _derive(catalog, family))
+    return cases
+
+
+_CASES = _cases()
+
+_PINS = {
+    "derive --catalog kny --family A1w":
+        "508f5b88df28ed396878d155369c9ae80f10bc1f2399214e7b01366308aa08cc",
+    "derive --catalog kny --family A1w8":
+        "6eb97d874b3ca439fe3f3f09ac663495c3704661e6d96f94898fe160b5e8a0bb",
+    "derive --catalog kny --family A1w8 --no-gauge":
+        "bf9eec4e4da7e19f99fefad188abea02b1d1ac55363c8c9968a28db110debd1f",
+    "derive --catalog kny --family A4w":
+        "7b946b154cb32e7413a8433e0f1a9e251145860cf9b0637f2ba7b2b7fd7aed1a",
+    "derive --catalog kny --family D5":
+        "fd5bb093abdf7b04b731c5a3246ba7f23ecaf7bd26cfc7bf0911e424b720890a",
+    "derive --catalog kny --family E2a":
+        "e34d791d06490557eb90595c6aabaeb5c053877e76b43b62fcc9d128257b0dcf",
+    "derive --catalog kny --family E2a --no-gauge":
+        "95fb97ee0e3935800be72cd4417b37f95bdc4ef96dd7aa84134a147c2b2f54be",
+    "derive --catalog kny --family E2b":
+        "41c682ac5dc2a93d3432c321bd09e851a5ad722cb616489bac37ea2c6ea8f742",
+    "derive --catalog kny --family E3a":
+        "586e5e2c2bc0f3f941fa6e8c7454de7c1d4d508028f7f340215511c8f0438dfe",
+    "derive --catalog kny --family E3a --no-gauge":
+        "98393584a3a9b9cca50196adc960ac667e281d834a4f7dd3f50f653ebe2fad31",
+    "derive --catalog kny --family E3b":
+        "ed1c6b7c6aea2f5635a76053db6492658a246d2d0f890b9950757ca1ce28ce7c",
+    "derive --catalog murata --family A4":
+        "5125003f9284ed13fc08234a588dd37c3a31ca83690603b1ff419ab6e4a2f173",
+    "derive --catalog murata --family A5":
+        "4c2da89f70dccb51b172de85a7ff9dea99143f9e7904bf4a838df1187c7b066e",
+    "derive --catalog murata --family A5 --variant alt":
+        "ec8237be85bf553b33fcf3c86c3ebb8b6c7bbf98d83396e17c9c984917f978c5",
+    "derive --catalog murata --family A5s":
+        "ffd0a660961685b887c7df83a60363c61f3b15f2ac43ac9d1d8682aa9367cd21",
+    "derive --catalog murata --family A6":
+        "bbe047ff82442a72ba9f6d1173e267799d92dffc1511621190263e7b649a28f7",
+    "derive --catalog murata --family A6 --variant alt":
+        "a67789bd5106dd1816b77620bdb81e879eed198faa3f76a1a3cdbd03acdf5747",
+    "derive --catalog murata --family A6s":
+        "badde2cbe5325470c979118ee7904e5a156b354fe470b423e0c6fa43f2792187",
+    "derive --catalog murata --family A7":
+        "d75e8458e02d7555c28002080e8509a8e9feb98aeb44a7364ef051dbbb694889",
+    "derive --catalog murata --family A7p":
+        "5311e54bd1cd93359e7a68e9e8efba39351f4cb7c58e4a6bbc9df046c875db5e",
+    "exponents --at infinity < kny A1w":
+        "d8bc894508b20d885f3093cd5db3d250229b9ce9c9493286d8f2d39d2abe3661",
+    "exponents --at infinity < kny A1w8":
+        "a6ef11eb8875d71c0494fa1ac01879ca3646f3342385903fc49d4bddbacad296",
+    "exponents --at infinity < kny A4w":
+        "0cedeb8f58302594226d82758bb42808c9bc440705c0c89ff4a948e79522d3fc",
+    "exponents --at infinity < kny D5":
+        "60322fb6289da93d5ffd29c414198402d4b1dfa0051ca824ed9d01c5a2c47c80",
+    "exponents --at infinity < kny E2a":
+        "a6ef11eb8875d71c0494fa1ac01879ca3646f3342385903fc49d4bddbacad296",
+    "exponents --at infinity < kny E2b":
+        "0cedeb8f58302594226d82758bb42808c9bc440705c0c89ff4a948e79522d3fc",
+    "exponents --at infinity < kny E3a":
+        "a6ef11eb8875d71c0494fa1ac01879ca3646f3342385903fc49d4bddbacad296",
+    "exponents --at infinity < kny E3b":
+        "0cedeb8f58302594226d82758bb42808c9bc440705c0c89ff4a948e79522d3fc",
+    "exponents --at infinity < murata A4":
+        "700ddfe7df55277743f8847cb4650d0183020344347af77cd7cd0fbead144f74",
+    "exponents --at infinity < murata A5":
+        "1faf0f74abf8b631b53e6e1242cdbbb570b3e3183aa380ca78f0076924bf9832",
+    "exponents --at infinity < murata A5s":
+        "700ddfe7df55277743f8847cb4650d0183020344347af77cd7cd0fbead144f74",
+    "exponents --at infinity < murata A6":
+        "1faf0f74abf8b631b53e6e1242cdbbb570b3e3183aa380ca78f0076924bf9832",
+    "exponents --at infinity < murata A6s":
+        "2ac7674cbb5d878c0746ae50b332b0015a30177252cdf1ea7fa75fca71f2d051",
+    "exponents --at infinity < murata A7":
+        "700ddfe7df55277743f8847cb4650d0183020344347af77cd7cd0fbead144f74",
+    "exponents --at infinity < murata A7p":
+        "700ddfe7df55277743f8847cb4650d0183020344347af77cd7cd0fbead144f74",
+    "exponents --at zero < kny A1w":
+        "4971771b6779b2b054e42c840ce8e1c3175a70142f4927e4657659e52838d179",
+    "exponents --at zero < kny A1w8":
+        "8b539e49b17b770f332ad37c321147a52e918bdbdb467e6db3538b2a9b65f2a5",
+    "exponents --at zero < kny A4w":
+        "b98ed254bcb41189bc5b8364f693e04498da09e71d58a9fc65d8534ed886f6c8",
+    "exponents --at zero < kny D5":
+        "f764ad11bf3ad5e8f377ab1a1b58f393e7064e53fd5751e77027c68495a34abf",
+    "exponents --at zero < kny E2a":
+        "e0116a9be467e9bef8cae03cf7c98f564eade6bbe83546df2bd9d123b2907f4d",
+    "exponents --at zero < kny E2b":
+        "4971771b6779b2b054e42c840ce8e1c3175a70142f4927e4657659e52838d179",
+    "exponents --at zero < kny E3a":
+        "7dbfbd4980d55c6db9732d6e72ff222518253fb63f816b30720b420fc01d4089",
+    "exponents --at zero < kny E3b":
+        "fe1b4ee76cba3268dd6d8e4bc46599636925882752aad88f4605eb7fa4dc1e16",
+    "exponents --at zero < murata A4":
+        "d88d52a0b942830d32de551e40627bf8a792a83085522085a3ca585dab80a50d",
+    "exponents --at zero < murata A5":
+        "33e2f66672ade41643c120b10bcf9463a2a012a946eed93c523b88da2061beae",
+    "exponents --at zero < murata A5s":
+        "33e2f66672ade41643c120b10bcf9463a2a012a946eed93c523b88da2061beae",
+    "exponents --at zero < murata A6":
+        "33e2f66672ade41643c120b10bcf9463a2a012a946eed93c523b88da2061beae",
+    "exponents --at zero < murata A6s":
+        "82a46931be2412d5b1ecfcaf790ad19bdf52a665faec34830a32138511e3c796",
+    "exponents --at zero < murata A7":
+        "6883ac9d81e1f951cdb05d16b17a3e3405b43b5e2550701b9bdddb4bd82946e3",
+    "exponents --at zero < murata A7p":
+        "636e27edc8c7c607783673d65a61a0fc71022fcf918957adbae3eed7fe37fe8f",
+    "limit --preset biconfluent":
+        "53e5d834a7556a6801c54e65fc4186a877b4f75b14d6a892a346dff3d255cf2d",
+    "limit --preset confluent":
+        "b2815578462805875c83c1e02bc269dec4cb4b131bf56d4c45dce99a62648b1b",
+    "limit --preset doubly-confluent":
+        "56067683410519ac7086f46d50bc632bd92a0b28ef8a5f6371d19fc566be6bfb",
+    "limit --preset heun":
+        "02356afea197d67946dc6b8328370934b3ffdc39f3550a8094109abacb03fd53",
+    "verify":
+        "99f07eaadfa8eab8de94a83afd406efd60041704b837ff56d0a1dcd496f28303",
+}
+
+
+def test_every_case_is_pinned():
+    assert sorted(_PINS) == sorted(_CASES)
+
+
+@pytest.mark.parametrize("label", sorted(_CASES))
+def test_stdout_bytes(label):
+    argv, feed = _CASES[label]
+    stdin = _stdout(feed) if feed else ""
+    digest = hashlib.sha256(_stdout(argv, stdin).encode("utf-8")).hexdigest()
+    assert digest == _PINS.get(label)
