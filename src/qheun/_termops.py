@@ -2,8 +2,9 @@
 
 A term dict maps an exponent tuple (one slot per variable, fixed length)
 to a nonzero coefficient.  These functions are the inner loop of every
-polynomial operation; qheun._termops_c is a compiled twin with the same
-signatures, selected at import time by qheun.symkernel.
+polynomial operation and the only implementation of it;
+qheun.symkernel binds this module as ``termops``.  ``BACKEND`` names
+the kernel in benchmark run records.
 """
 
 BACKEND = "pure"

@@ -3,18 +3,24 @@
 Subcommands replay catalog derivations, classify and draw equations,
 apply gauge moves, expand local series, drive the continuum limit, and
 run the verification harness over the recorded summary tables.  All
-exact values cross the JSON boundary as strings; floats appear only for
-genuinely approximate data.  Exit codes: 0 success, 1 verification
-mismatch, 2 usage or parse error, 3 domain error.
+exact values cross the JSON boundary as strings, at any length: a run
+lifts Python's cap on int/str conversion while it lasts.  Floats appear
+only for genuinely approximate data.  Equation documents key each side
+by degree, any nonnegative integer written without leading zeros.
+Exit codes: 0 success, 1 verification mismatch, 2 usage or parse error,
+3 domain error.  A reader that closes stdout early does not change the
+exit code; the rest of the output is discarded.
 """
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
 
 from . import climit, gauge as gaugemoves, lax, local, odeheun, qdiff
+from .qdiff import CONVENTION
 from .symkernel import (ParseError, UnknownParameter, as_ratfun, parse_expr,
                         rat)
 
@@ -22,14 +28,13 @@ __all__ = ["CONVENTION", "EQ_FORMAT", "BIND_FORMAT", "FAMILY_FORMAT",
            "ODE_FORMAT", "UsageError", "read_equation", "write_equation",
            "read_binding", "run", "main"]
 
-CONVENTION = "P*f(q*x) + Z*f(x) + M*f(x/q) = 0"
 EQ_FORMAT = "qheun-eq/1"
 BIND_FORMAT = "qheun-params/1"
 FAMILY_FORMAT = "qheun-epsfam/1"
 ODE_FORMAT = "qheun-ode/1"
 
 _IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
-_DEGREES = ("0", "1", "2", "3")
+_DEGREE = re.compile(r"(0|[1-9][0-9]*)\Z")
 
 
 class UsageError(Exception):
@@ -93,14 +98,16 @@ def read_equation(doc) -> qdiff.QDiffEq:
         entries = doc.get(side, {})
         _fail(isinstance(entries, dict),
               "%s must map degree strings to expression strings" % side)
-        row = [as_ratfun(0)] * 4
+        row = {}
         for key, text in entries.items():
-            _fail(key in _DEGREES, "bad degree key %r (want 0..3)" % (key,))
+            _fail(_DEGREE.match(key),
+                  "bad degree key %r (want a nonnegative integer)" % (key,))
             _fail(isinstance(text, str),
                   "exact values must be strings (%s, degree %s)"
                   % (side, key))
             row[int(key)] = parse_expr(text, universe)
-        sides.append(row)
+        sides.append([row.get(k, as_ratfun(0))
+                      for k in range(max(row, default=-1) + 1)])
     try:
         return qdiff.QDiffEq(*sides, variable)
     except ValueError as bad:
@@ -159,7 +166,16 @@ def _load_json(path):
 
 def _emit(text, path):
     if path in (None, "-"):
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader is gone: send what is left, including the flush
+            # at exit, to devnull, as the SIGPIPE note in the Python docs
+            # shows, and let the command keep its own exit code
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
     else:
         with open(path, "w", newline="\n") as handle:
             handle.write(text)
@@ -196,6 +212,9 @@ def _cmd_derive(args):
     if catalog == "murata":
         _fail(args.gauge is None, "--gauge only applies to the kny catalog")
         variant = args.variant or lax.MURATA_TABLE_VARIANT[family]
+        have = lax.MURATA_VARIANTS[family]
+        _fail(variant in have, "family %s has no %r variant (have %s)"
+              % (family, variant, ", ".join(have)))
         params = lax.MurataParams(family)
         relation = lax.scalar_reduce(lax.build_murata(params))
         eq = lax.specialize(family, variant, relation,
@@ -465,7 +484,22 @@ def _build_parser():
 
 
 def run(argv):
-    """Dispatch one command line; returns the process exit code."""
+    """Dispatch one command line; returns the process exit code.
+
+    Python's cap on the digits of int/str conversions is lifted for the
+    duration of the call, so exact values of any size parse and print.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):   # before 3.10.7
+        return _run(argv)
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv)
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def _run(argv):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

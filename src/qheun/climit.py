@@ -13,12 +13,11 @@ black-box callables fall back to Richardson extrapolation.
 """
 
 from fractions import Fraction
-import math
 
 from .symkernel import (DivergesAtZero, as_ratfun, limit_at_zero,
                         parse_expr, rat, sym)
 from .qdiff import QDiffEq
-from .local import Resonance, char_exponents, series_solution
+from .local import Resonance, char_exponents, quad_roots, series_solution
 from .lax import reference_equation
 
 __all__ = [
@@ -309,37 +308,10 @@ def emit_ode(b: LimitData) -> HeunODE:
         limits=b)
 
 
-def _sqrt_exact(f):
-    """Exact nonnegative square root of a rational, or None."""
-    f = Fraction(f)
-    if f < 0:
-        return None
-    pn, pd = math.isqrt(f.numerator), math.isqrt(f.denominator)
-    if pn * pn == f.numerator and pd * pd == f.denominator:
-        return Fraction(pn, pd)
-    return None
-
-
 def _div(p, q):
     if isinstance(p, (int, Fraction)) and isinstance(q, (int, Fraction)):
         return Fraction(p) / Fraction(q)
     return p / q
-
-
-def _quad_roots(a, b, c):
-    """Both roots of a*x^2 + b*x + c, exact when the data allows."""
-    if a == 0:
-        return [_div(-c, b)]
-    disc = b * b - 4 * a * c
-    if isinstance(disc, (int, Fraction)):
-        r = _sqrt_exact(disc)
-        if r is not None:
-            return sorted([_div(-b - r, 2 * a), _div(-b + r, 2 * a)])
-    d = complex(disc) ** 0.5
-    out = []
-    for z in ((-b - d) / (2 * a), (-b + d) / (2 * a)):
-        out.append(z.real if abs(z.imag) < 1e-13 * (1 + abs(z)) else z)
-    return sorted(out, key=lambda z: (complex(z).real, complex(z).imag))
 
 
 def _gauge_data(b, rho):
@@ -374,7 +346,7 @@ def classify_ode(ode: HeunODE) -> HeunODE:
     rho = 0
     if b.b00 != 0:
         if b.b0 != 0:
-            rho = _quad_roots(b.b0, b.b01, b.b00)[0]
+            rho = quad_roots(b.b0, b.b01, b.b00)[0]
         elif b.b01 != 0:
             rho = _div(-b.b00, b.b01)
         else:
@@ -404,7 +376,7 @@ def classify_ode(ode: HeunODE) -> HeunODE:
             raise Unclassifiable(
                 "the two finite branch points collide "
                 "(b1^2 = 4*b0*b2); the pattern is degenerate")
-        r1, r2 = _quad_roots(b.b2, b.b1, b.b0)
+        r1, r2 = quad_roots(b.b2, b.b1, b.b0)
         label = "HE"
         sing = (0, r1, r2, "Infinity")
     elif b.b1 != 0 and b.b0 != 0:

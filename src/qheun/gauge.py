@@ -107,16 +107,19 @@ def _as_xpoly(p, variable):
     return xpoly.scale(num, as_ratfun(1) / den[0])
 
 
-def gauge_linear(eq: QDiffEq, p) -> QDiffEq:
+def gauge_linear(eq: QDiffEq, p, q=None) -> QDiffEq:
     """Divide the unknown by a function u with u(qx) = p(x)u(x).
 
     After clearing by p(x/q) the coefficients stay polynomial:
-    P -> P*p(x)*p(x/q), Z -> Z*p(x/q), M -> M.
+    P -> P*p(x)*p(x/q), Z -> Z*p(x/q), M -> M.  ``q`` is the base of
+    the down-shift: the symbol q by default, or the value q is bound to
+    when the equation was built with a numeric q.
     """
     p_x = _as_xpoly(p, eq.variable)
     if not p_x:
         raise ValueError("gauge factor polynomial is zero")
-    p_down = xpoly.shift_arg(p_x, as_ratfun(1) / sym("q"))
+    base = sym("q") if q is None else as_ratfun(q)
+    p_down = xpoly.shift_arg(p_x, as_ratfun(1) / base)
     return QDiffEq(
         xpoly.mul(xpoly.mul(list(eq.P), p_x), p_down),
         xpoly.mul(list(eq.Z), p_down),

@@ -21,6 +21,7 @@ row's leading-coefficient normalisation.
 from .symkernel import (RatFun, as_ratfun, limit_at_zero, parse_expr, rat,
                         ratfun_eq, sym)
 from . import xpoly
+from .gauge import gauge_linear
 from .qdiff import QDiffEq, ThreeTermRelation
 
 
@@ -122,7 +123,7 @@ class LaxMatrix:
         self.binding = dict(binding or {})
 
     def det(self):
-        return _cancel_var(self.a11 * self.a22 - self.a12 * self.a21, "w")
+        return self.a11 * self.a22 - self.a12 * self.a21
 
     def at_origin(self):
         """Entries evaluated at x = 0, as a 4-tuple."""
@@ -252,27 +253,6 @@ def build_murata(params):
     return mat
 
 
-def _cancel_var(r, name):
-    """Strip the common power of ``name`` from numerator and denominator."""
-    r = as_ratfun(r)
-    nparts = r.num.univariate(name)
-    dparts = r.den.univariate(name)
-    if not nparts:
-        return r
-    k = min(min(nparts), min(dparts))
-    if k == 0:
-        return r
-    return _drop_power(nparts, name, k) / _drop_power(dparts, name, k)
-
-
-def _drop_power(parts, name, k):
-    v = sym(name)
-    total = rat(0)
-    for degree, coeff in parts.items():
-        total = total + as_ratfun(coeff) * v ** (degree - k)
-    return total
-
-
 def scalar_reduce(mat):
     """Eliminate the second component of Y(qx) = A(x) Y(x).
 
@@ -285,9 +265,9 @@ def scalar_reduce(mat):
     qx = {"x": qv * sym("x")}
     a11_q = mat.a11.substitute(qx)
     a12_q = mat.a12.substitute(qx)
-    ratio = _cancel_var(a12_q / mat.a12, "w")
-    mid = _cancel_var(-(a11_q + ratio * mat.a22), "w")
-    low = _cancel_var(ratio * mat.det(), "w")
+    ratio = a12_q / mat.a12
+    mid = -(a11_q + ratio * mat.a22)
+    low = ratio * mat.det()
     return ThreeTermRelation(rat(1), mid, low, "x")
 
 
@@ -352,18 +332,9 @@ MURATA_TABLE_VARIANT = {"A4": "paper", "A5": "paper", "A5s": "paper",
                         "A6": "paper", "A6s": "paper",
                         "A7": "alt", "A7p": "alt"}
 
-
-def _strip_gauge(eq, p, qv):
-    """The linear gauge P -> P*p(x)*p(x/q), Z -> Z*p(x/q), M -> M,
-    with the down-shift taken at the (possibly bound) base qv."""
-    p = as_ratfun(p)
-    v = sym(eq.variable)
-    p_down = p.substitute({eq.variable: v / qv})
-    return QDiffEq.from_scalar_coefficients(
-        eq.scalar_coefficient("P") * p * p_down,
-        eq.scalar_coefficient("Z") * p_down,
-        eq.scalar_coefficient("M"),
-        eq.variable)
+#: the specialization routes each family admits
+MURATA_VARIANTS = {family: tuple(v for f, v in _MURATA_RECIPES if f == family)
+                   for family in MURATA_FAMILIES}
 
 
 def specialize(family, variant, relation, binding=None):
@@ -397,7 +368,7 @@ def specialize(family, variant, relation, binding=None):
         low = low * (m0 / m2)
     eq = _as_equation(up, mid, low, relation.variable)
     if "strip" in recipe:
-        eq = _strip_gauge(eq, _bind(_mu(recipe["strip"]), binding), qv)
+        eq = gauge_linear(eq, _bind(_mu(recipe["strip"]), binding), qv)
         eq = _divide_sides(eq, _bind(_mu(recipe["shared"]), binding))
     return eq
 
@@ -544,8 +515,8 @@ def kny_to_equation(op, apply_gauge=False):
     eq = _as_equation(op.c_plus, op.c_zero, op.c_minus, "z")
     if apply_gauge and op.family in KNY_GAUGED:
         binding = op.binding
-        qv = binding.get("q", _kn("q"))
-        eq = _strip_gauge(eq, _bind(_kn("q*z - n4"), binding), qv)
+        eq = gauge_linear(eq, _bind(_kn("q*z - n4"), binding),
+                          binding.get("q"))
         eq = _divide_sides(eq, _bind(_kn("z - n4"), binding))
     return eq
 

@@ -54,39 +54,44 @@ class CharData:
                    self.regularity))
 
 
-def _exact_sqrt(f):
-    """Square root of a nonnegative Fraction if it is one, else None."""
-    n, d = f.numerator, f.denominator
-    rn, rd = math.isqrt(n), math.isqrt(d)
-    if rn * rn == n and rd * rd == d:
+def exact_sqrt(f):
+    """The rational square root of ``f``, or None if it has none."""
+    f = Fraction(f)
+    if f < 0:
+        return None
+    rn, rd = math.isqrt(f.numerator), math.isqrt(f.denominator)
+    if rn * rn == f.numerator and rd * rd == f.denominator:
         return Fraction(rn, rd)
     return None
 
 
-def _quad_roots(c2, c1, c0):
-    """Nonzero roots of c2 s^2 + c1 s + c0, exact when possible."""
-    if not c2:
-        if not c1:
-            return ()
-        r = -c0 / c1
-        return (r,) if r else ()
-    disc = c1 * c1 - 4 * c2 * c0
-    if isinstance(disc, Fraction) and disc >= 0:
-        root = _exact_sqrt(disc)
-        if root is not None:
-            pair = ((-c1 - root) / (2 * c2), (-c1 + root) / (2 * c2))
-            return tuple(r for r in pair if r)
-    if isinstance(disc, complex) or disc < 0:
-        root = (disc + 0j) ** 0.5
-    else:
-        root = math.sqrt(disc)
-    pair = ((-c1 - root) / (2 * c2), (-c1 + root) / (2 * c2))
-    return tuple(r for r in pair if r)
+def quad_roots(a, b, c):
+    """Roots of a*s^2 + b*s + c, sorted by real and then imaginary part.
+
+    Rational data with a rational square discriminant gives exact
+    Fraction roots.  Otherwise the square root is taken in complex
+    floats, and a root whose imaginary part is rounding noise is
+    returned as a real float.  When a = 0 the single root of the linear
+    equation is returned, and no root when b = 0 as well.
+    """
+    # ints divide as Fractions, so integer data keeps exact roots
+    a, b, c = (Fraction(v) if isinstance(v, int) else v for v in (a, b, c))
+    if not a:
+        return (-c / b,) if b else ()
+    disc = b * b - 4 * a * c
+    root = exact_sqrt(disc) if isinstance(disc, Fraction) else None
+    if root is None:
+        root = complex(disc) ** 0.5
+    pair = ((-b - root) / (2 * a), (-b + root) / (2 * a))
+    if isinstance(root, complex):
+        pair = [z.real if abs(z.imag) < 1e-13 * (1 + abs(z)) else z
+                for z in pair]
+    return tuple(sorted(pair, key=lambda z: (z.real, z.imag)))
 
 
-def _sort_key(r):
-    c = complex(r)
-    return (c.real, c.imag)
+def _nonzero(roots):
+    # s = q^r is never zero, so a zero root admits no exponent
+    return tuple(r for r in roots if r)
 
 
 def char_exponents(eq: QDiffEq, at="Zero") -> CharData:
@@ -110,9 +115,8 @@ def char_exponents(eq: QDiffEq, at="Zero") -> CharData:
                   if not c2.is_zero and not c0.is_zero else "IrregularLike")
     roots = None
     if c2.is_const() and c1.is_const() and c0.is_const():
-        vals = _quad_roots(c2.const_value(), c1.const_value(),
-                           c0.const_value())
-        roots = tuple(sorted(vals, key=_sort_key))
+        roots = _nonzero(quad_roots(c2.const_value(), c1.const_value(),
+                                    c0.const_value()))
     return CharData(at, c2, c1, c0, roots, regularity)
 
 
@@ -170,7 +174,7 @@ def series_solution(eq: QDiffEq, binding, rootIndex=0, N=10):
     q = binding["q"]
     sides = _side_values(eq, binding)
     pv, zv, mv = sides["P"], sides["Z"], sides["M"]
-    roots = tuple(sorted(_quad_roots(pv[0], zv[0], mv[0]), key=_sort_key))
+    roots = _nonzero(quad_roots(pv[0], zv[0], mv[0]))
     if not 0 <= rootIndex < len(roots):
         raise ValueError("rootIndex %d out of range: %d admissible root(s)"
                          % (rootIndex, len(roots)))

@@ -28,7 +28,8 @@ import math
 from fractions import Fraction
 
 from .climit import (AllZero, HeunODE, Unclassifiable, _div, _pad,
-                     _quad_roots, _sqrt_exact, classify_ode)
+                     classify_ode)
+from .local import exact_sqrt, quad_roots
 
 __all__ = ["ConstraintViolation", "NoMatch", "HeunParams", "HEParams",
            "CHEParams", "BHEParams", "DHEParams", "THEParams",
@@ -264,7 +265,7 @@ def to_operator(p: HeunParams) -> HeunODE:
 
 def _sqrt_any(v):
     if isinstance(v, Fraction):
-        r = _sqrt_exact(v)
+        r = exact_sqrt(v)
         if r is not None:
             return r
     return math.sqrt(v)
@@ -300,7 +301,7 @@ def _match_he(ode):
     if q[0] != 0:
         return NoMatch("a constant term survives in the undifferentiated "
                        "row; split off an origin power first")
-    roots = _quad_roots(s[2], s[1], s[0])
+    roots = quad_roots(s[2], s[1], s[0])
     if len(roots) != 2 or roots[0] == roots[1]:
         return NoMatch("the finite branch points coincide")
     if 1 in roots:
@@ -318,7 +319,7 @@ def _match_he(ode):
         ehat = total - gamma - delta
         ab = _div(q[2] * sigma * sigma, n)
         B = -_div(q[1] * sigma, n)
-        alpha, beta = _quad_roots(Fraction(1), -(total - 1), ab)
+        alpha, beta = quad_roots(Fraction(1), -(total - 1), ab)
         candidates.append(
             HEParams(alpha, beta, gamma, delta, ehat, t, B))
     candidates.sort(key=lambda c: tuple(_key(getattr(c, n))

@@ -10,22 +10,16 @@ Three layers:
 
 Plus a recursive-descent parser for the expression grammar used by the
 command-line documents, and a canonical graded-lex printer whose output
-reparses to an equal value.
+reparses to an equal value.  The term-dict loops under MPoly live in
+qheun._termops, re-exported here as ``termops``.
 """
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from math import gcd
 
-if os.environ.get("QHEUN_PURE"):
-    from . import _termops as termops
-else:
-    try:
-        from . import _termops_c as termops  # type: ignore[no-redef]
-    except ImportError:
-        from . import _termops as termops
+from . import _termops as termops
 
 Rational = Fraction
 

@@ -1,7 +1,9 @@
 """Command dispatch, document formats, exit codes, verification report."""
 
+import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -21,6 +23,8 @@ from qheun.cli import (
     write_equation,
 )
 from qheun.lax import KNY_FAMILIES, MURATA_FAMILIES, accessory_formula
+from qheun.local import series_solution
+from qheun.symkernel import sym
 
 F = Fraction
 
@@ -96,7 +100,9 @@ def test_read_equation_validation():
         lambda d: d.update(convention="f(qx) = f(x)"),
         lambda d: d.update(parameters="q"),
         lambda d: d.update(parameters=d["parameters"] + ["x"]),
-        lambda d: d["Z"].update({"7": "1"}),
+        lambda d: d["Z"].update({"-1": "1"}),
+        lambda d: d["Z"].update({"07": "1"}),
+        lambda d: d["Z"].update({"x": "1"}),
         lambda d: d["Z"].update({"1": 3}),
         lambda d: d.update(P="wat"),
     ):
@@ -104,6 +110,26 @@ def test_read_equation_validation():
         mutate(doc)
         with pytest.raises(UsageError):
             read_equation(doc)
+
+
+def test_read_equation_accepts_any_degree():
+    doc = write_equation(reference_equation("murata", "A7"))
+    doc["P"]["12"] = "q"
+    eq = read_equation(doc)
+    assert eq.degree == 12
+    assert ratfun_eq(eq.coeff("P", 12), sym("q"))
+    assert read_equation(write_equation(eq)).degree == 12
+
+
+def test_kny_linear_gauge_output_classifies():
+    # the linear gauge raises the degree of a degree-2 row to 4
+    code, gauged, err = call(["gauge", "--kind", "linear", "--factor",
+                              "q*z - n4"], stdin=derive_doc("kny", "D5"))
+    assert code == 0, err
+    assert "4" in _json(gauged)["P"]
+    code, out, err = call(["classify"], stdin=gauged)
+    assert code == 0, err
+    assert _json(out)["signature"].endswith("+deg4")
 
 
 def test_read_binding_exact():
@@ -155,7 +181,7 @@ def test_derive_variant_routes():
     assert "d" in alt["parameters"]
     code, _, err = call(["derive", "--catalog", "murata", "--family", "A4",
                          "--variant", "alt"])
-    assert code == 3 and "variant" in err
+    assert code == 2 and "variant" in err
 
 
 def test_derive_usage_errors():
@@ -320,6 +346,55 @@ def test_series_flag_validation(a4_binding_file):
                 stdin=doc)[0] == 2
 
 
+@contextlib.contextmanager
+def _unlimited_digits():
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+_BIG = "1" + "0" * 4999 + "7"      # past Python's 4300-digit str/int cap
+
+
+def test_series_beyond_the_int_digit_limit_is_exact(a4_binding_file):
+    doc = derive_doc("murata", "A4")
+    before = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, out, err = call(["series", "--bind", a4_binding_file,
+                           "--terms", "100"], stdin=doc)
+    assert code == 0, err
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == before
+    coefficients = _json(out)["coefficients"]
+    assert max(map(len, coefficients)) > 4300
+    sol = series_solution(read_equation(_json(doc)),
+                          read_binding(_A4_ROOT_BINDING), 0, 100)
+    with _unlimited_digits():
+        assert [F(c) for c in coefficients] == list(sol.coefficients)
+
+
+def test_long_literals_parse_in_documents(tmp_path):
+    # s^2 - (1 + N) s + N has the roots 1 and N
+    doc = {"format": EQ_FORMAT, "variable": "x", "parameters": [],
+           "convention": CONVENTION,
+           "P": {"0": "1"}, "Z": {"0": "-1 - " + _BIG}, "M": {"0": _BIG}}
+    code, out, err = call(["exponents"], stdin=json.dumps(doc))
+    assert code == 0, err
+    assert _json(out)["roots"] == ["1", _BIG]
+    doc.update(parameters=["q"], Z={"0": "-1 - q"}, M={"0": "q"})
+    path = tmp_path / "bind.json"
+    path.write_text(json.dumps({"format": BIND_FORMAT,
+                                "bindings": {"q": _BIG}}))
+    code, out, err = call(["exponents", "--bind", str(path)],
+                          stdin=json.dumps(doc))
+    assert code == 0, err
+    assert _json(out)["roots"] == ["1", _BIG]
+
+
 # -- limit -----------------------------------------------------------------
 
 def test_limit_preset_document():
@@ -449,6 +524,24 @@ def test_help_exits_cleanly():
 
 def test_unknown_flag():
     assert call(["derive", "--nope"])[0] == 2
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_stdout_keeps_the_exit_code(unbuffered):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "qheun.cli", "limit", "--preset", "heun",
+             "--crosscheck", "1/100"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
 
 
 def test_console_entry_point():

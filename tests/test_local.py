@@ -10,7 +10,7 @@ from qheun.gauge import gauge_power
 from qheun.lax import derive_equation
 from qheun.local import (CharData, DegenerateEquation, Resonance,
                          SeriesSolution, UnboundParameter, char_exponents,
-                         residual, series_solution)
+                         exact_sqrt, quad_roots, residual, series_solution)
 from qheun.qdiff import QDiffEq
 from qheun.symkernel import parse_expr, rat, ratfun_eq, sym
 
@@ -101,6 +101,49 @@ def test_vieta(r1, r2):
     want = tuple(sorted({r for r in (r1, r2) if r}
                         if r1 * r2 == 0 else (r1, r2)))
     assert cz.roots == want
+
+
+_RATS = st.fractions(min_value=-20, max_value=20, max_denominator=30)
+
+
+def _sorted(roots):
+    return list(roots) == sorted(roots, key=lambda z: (z.real, z.imag))
+
+
+@given(st.fractions(max_denominator=10 ** 6), st.fractions())
+def test_rational_square_roots_are_found_exactly(f, g):
+    r = exact_sqrt(f)
+    assert r is None or (r >= 0 and r * r == f)
+    assert exact_sqrt(g * g) == abs(g)
+    assert exact_sqrt(g.numerator ** 2) == abs(g.numerator)
+
+
+@given(_RATS, _RATS, _RATS)
+def test_quadratic_roots_solve_the_quadratic(a, b, c):
+    roots = quad_roots(a, b, c)
+    assert _sorted(roots)
+    if a == 0:
+        assert roots == (() if b == 0 else (-c / b,))
+        return
+    assert len(roots) == 2
+    exact = exact_sqrt(b * b - 4 * a * c) is not None
+    assert all(isinstance(r, Fraction) for r in roots) == exact
+    if exact:
+        assert all(a * r * r + b * r + c == 0 for r in roots)
+        return
+    # float roots: the smaller one may lose digits to cancellation, so
+    # check the larger root's residual and the sum of the roots
+    r = max(roots, key=abs)
+    size = abs(a) * abs(r) ** 2 + abs(b) * abs(r) + abs(c)
+    assert abs(a * r * r + b * r + c) <= 1e-12 * size
+    assert abs(sum(roots) + b / a) <= 1e-12 * sum(map(abs, roots))
+
+
+@given(_RATS, _RATS, _RATS.filter(bool))
+def test_quadratic_roots_recover_rational_roots(r1, r2, k):
+    assert quad_roots(k, -k * (r1 + r2), k * r1 * r2) == tuple(
+        sorted((r1, r2)))
+    assert quad_roots(k.numerator, 0, 0) == (0, 0)
 
 
 def test_gauge_power_shifts_characteristic():

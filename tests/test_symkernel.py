@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from qheun.symkernel import (DivergesAtZero, MPoly, ParseError, RatFun,
                              UnknownParameter, as_ratfun, limit_at_zero,
                              parse_expr, poly_arith, rat, ratfun_eq,
-                             substitute, sym)
+                             substitute, sym, termops)
 
 U = ["q", "k1", "k2", "th1", "th2", "a1", "a2", "a3", "l", "m", "t", "d",
      "w", "x"]
@@ -259,3 +259,12 @@ def test_print_is_canonical():
     assert str(P("0 - x^2 + x") * -1) == "x^2 - x"
     assert str(rat(0)) == "0"
     assert str(-sym("x") * sym("q")) == "-1*q*x"
+
+
+def test_termops_exports_the_kernel_names():
+    # the benchmark reads BACKEND and wraps the three term-dict loops
+    assert termops.BACKEND == "pure"
+    a, b = {(1,): Fraction(2)}, {(1,): Fraction(-2), (0,): Fraction(1)}
+    assert termops.add_terms(a, b) == {(0,): 1}
+    assert termops.sub_terms(a, a) == {}
+    assert termops.mul_terms(a, b) == {(2,): -4, (1,): 2}
