@@ -6,7 +6,9 @@ run the verification harness over the recorded summary tables.  All
 exact values cross the JSON boundary as strings, at any length: a run
 lifts Python's cap on int/str conversion while it lasts.  Floats appear
 only for genuinely approximate data.  Equation documents key each side
-by degree, any nonnegative integer written without leading zeros.
+by degree, a nonnegative integer written without leading zeros and at
+most MAX_DEGREE (1000); a larger key is a usage error, refused before
+any coefficient list is built.
 Exit codes: 0 success, 1 verification mismatch, 2 usage or parse error,
 3 domain error.  A reader that closes stdout early does not change the
 exit code; the rest of the output is discarded.
@@ -25,8 +27,8 @@ from .symkernel import (ParseError, UnknownParameter, as_ratfun, parse_expr,
                         rat)
 
 __all__ = ["CONVENTION", "EQ_FORMAT", "BIND_FORMAT", "FAMILY_FORMAT",
-           "ODE_FORMAT", "UsageError", "read_equation", "write_equation",
-           "read_binding", "run", "main"]
+           "ODE_FORMAT", "MAX_DEGREE", "UsageError", "read_equation",
+           "write_equation", "read_binding", "run", "main"]
 
 EQ_FORMAT = "qheun-eq/1"
 BIND_FORMAT = "qheun-params/1"
@@ -35,6 +37,11 @@ ODE_FORMAT = "qheun-ode/1"
 
 _IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 _DEGREE = re.compile(r"(0|[1-9][0-9]*)\Z")
+
+#: Largest degree key an equation document may use.  Each side becomes a
+#: dense list up to its largest key, so the key bounds the memory a
+#: document can claim.
+MAX_DEGREE = 1000
 
 
 class UsageError(Exception):
@@ -93,6 +100,7 @@ def read_equation(doc) -> qdiff.QDiffEq:
     _fail(doc.get("convention") == CONVENTION,
           "unsupported convention %r" % (doc.get("convention"),))
     universe = set(params)
+    zero = as_ratfun(0)
     sides = []
     for side in ("P", "Z", "M"):
         entries = doc.get(side, {})
@@ -102,11 +110,15 @@ def read_equation(doc) -> qdiff.QDiffEq:
         for key, text in entries.items():
             _fail(_DEGREE.match(key),
                   "bad degree key %r (want a nonnegative integer)" % (key,))
+            # compare lengths first: int() of a huge key is itself slow
+            _fail(len(key) <= len(str(MAX_DEGREE)) and int(key) <= MAX_DEGREE,
+                  "degree key %.24r exceeds the maximum degree %d"
+                  % (key, MAX_DEGREE))
             _fail(isinstance(text, str),
                   "exact values must be strings (%s, degree %s)"
                   % (side, key))
             row[int(key)] = parse_expr(text, universe)
-        sides.append([row.get(k, as_ratfun(0))
+        sides.append([row.get(k, zero)
                       for k in range(max(row, default=-1) + 1)])
     try:
         return qdiff.QDiffEq(*sides, variable)

@@ -120,18 +120,27 @@ class EpsilonFamily:
         return "EpsilonFamily(%s in %s)" % (shape, self.parameter)
 
 
+_ZERO = Fraction(0)
+
+
+def _coerce_int(value):
+    # ints become Fractions once, where rows and limit data are built, so
+    # that plain / stays exact everywhere downstream
+    return Fraction(value) if isinstance(value, int) else value
+
+
 class LimitData:
     """The nine limit coefficients, graded by x-degree and by order.
 
     b2, b1, b0 multiply g''; b21, b11, b01 correct the g' row; b20, b10,
-    b00 make up the g row.
+    b00 make up the g row.  Integer entries are stored as Fractions.
     """
 
     __slots__ = ("b2", "b1", "b0", "b21", "b11", "b01", "b20", "b10", "b00")
 
     def __init__(self, b2, b1, b0, b21, b11, b01, b20, b10, b00):
         for name in self.__slots__:
-            object.__setattr__(self, name, locals()[name])
+            object.__setattr__(self, name, _coerce_int(locals()[name]))
 
     def __setattr__(self, name, value):
         raise AttributeError("LimitData is immutable")
@@ -169,7 +178,8 @@ def limit_coefficients(fam: EpsilonFamily) -> LimitData:
 
     Exact when the family is symbolic; Richardson extrapolation when any
     entry is a callable.  Raises LimitDiverges naming the offending slot
-    when a limit fails to exist.
+    when a limit fails to exist, or when the slot values at eps = 0 are
+    not the (b, -2b, b) that the limits force on each degree.
     """
     if not fam.is_symbolic():
         return _limit_coefficients_numeric(fam)
@@ -196,8 +206,11 @@ def limit_coefficients(fam: EpsilonFamily) -> LimitData:
         # the three slot values at 0 are forced to (b, -2b, b); anything
         # else means the limits above were computed inconsistently
         b = out["b%d" % k]
-        assert at0["plus", k] == b and at0["minus", k] == b
-        assert at0["zero", k] == -2 * b
+        for sigma, want in (("plus", b), ("zero", -2 * b), ("minus", b)):
+            if at0[sigma, k] != want:
+                raise LimitDiverges(
+                    "slot (%s, %d) has value %s at %s = 0, but the degree-%d "
+                    "limits force %s" % (sigma, k, at0[sigma, k], e, k, want))
     return LimitData(**out)
 
 
@@ -246,7 +259,8 @@ class HeunODE:
 
     second, first and zeroth hold the coefficient tuples of S, F and Q
     by ascending degree (quadratic rows for everything the q -> 1 limit
-    emits; the triconfluent shape needs cubic entries).  class_ is None
+    emits; the triconfluent shape needs cubic entries), with integer
+    entries stored as Fractions and trailing zeros dropped.  class_ is None
     until classify_ode fills it; rho records the power-law prefactor
     x^rho split off to clear the constant slot of the zeroth row.
     """
@@ -270,8 +284,14 @@ class HeunODE:
         raise AttributeError("HeunODE is immutable")
 
     def coefficient(self, row, k):
+        """Entry k of one row; Fraction(0) beyond the stored degree."""
         r = getattr(self, row)
-        return r[k] if k < len(r) else 0
+        return r[k] if k < len(r) else _ZERO
+
+    def padded(self, width):
+        """The three rows (second, first, zeroth), each padded to width."""
+        return tuple(tuple(self.coefficient(row, k) for k in range(width))
+                     for row in ("second", "first", "zeroth"))
 
     @property
     def accessory(self):
@@ -287,14 +307,10 @@ class HeunODE:
 
 
 def _trim(row):
-    row = list(row)
+    row = [_coerce_int(v) for v in row]
     while row and row[-1] == 0:
         row.pop()
     return tuple(row)
-
-
-def _pad(row, n):
-    return tuple(row) + (0,) * (n - len(row))
 
 
 def emit_ode(b: LimitData) -> HeunODE:
@@ -306,12 +322,6 @@ def emit_ode(b: LimitData) -> HeunODE:
         (b.b01 + b.b0, b.b11 + b.b1, b.b21 + b.b2),
         (b.b00, b.b10, b.b20),
         limits=b)
-
-
-def _div(p, q):
-    if isinstance(p, (int, Fraction)) and isinstance(q, (int, Fraction)):
-        return Fraction(p) / Fraction(q)
-    return p / q
 
 
 def _gauge_data(b, rho):
@@ -337,9 +347,7 @@ def classify_ode(ode: HeunODE) -> HeunODE:
         return _classify_cubic(ode)
     b = ode.limits
     if b is None:
-        s2 = _pad(ode.second, 3)
-        f1 = _pad(ode.first, 3)
-        q0 = _pad(ode.zeroth, 3)
+        s2, f1, q0 = ode.padded(3)
         b = LimitData(s2[2], s2[1], s2[0],
                       f1[2] - s2[2], f1[1] - s2[1], f1[0] - s2[0],
                       q0[2], q0[1], q0[0])
@@ -348,7 +356,7 @@ def classify_ode(ode: HeunODE) -> HeunODE:
         if b.b0 != 0:
             rho = quad_roots(b.b0, b.b01, b.b00)[0]
         elif b.b01 != 0:
-            rho = _div(-b.b00, b.b01)
+            rho = -b.b00 / b.b01
         else:
             raise Unclassifiable(
                 "constant slot of the zeroth row is nonzero but the origin "
@@ -381,7 +389,7 @@ def classify_ode(ode: HeunODE) -> HeunODE:
         sing = (0, r1, r2, "Infinity")
     elif b.b1 != 0 and b.b0 != 0:
         label = "ReducedCHE" if b.b21 == 0 else "CHE"
-        sing = (0, _div(-b.b0, b.b1), "Infinity")
+        sing = (0, -b.b0 / b.b1, "Infinity")
     elif b.b1 == 0 and b.b0 != 0:
         label = "BHE"
         sing = (0, "Infinity")
@@ -398,9 +406,7 @@ def classify_ode(ode: HeunODE) -> HeunODE:
 
 
 def _classify_cubic(ode):
-    s = _pad(ode.second, 4)
-    f = _pad(ode.first, 4)
-    q = _pad(ode.zeroth, 4)
+    s, f, q = ode.padded(4)
     the = (s[0] != 0 and s[1] == s[2] == s[3] == 0
            and f[3] != 0 and f[0] == f[2] == 0
            and q[0] == q[1] == 0)
@@ -443,7 +449,7 @@ def ode_series(ode: HeunODE, N=10):
                 continue
             bj, bj1, bj0 = b.row(j)
             acc += (bj * n * (n - 1) + (bj1 + bj) * n + bj0) * c[n]
-        c.append(_div(-acc, den))
+        c.append(-acc / den)
     return c
 
 

@@ -48,9 +48,9 @@ def gauge_power(eq: QDiffEq, lam) -> QDiffEq:
     """
     s = _q_power(lam)
     return QDiffEq(
-        xpoly.scale(list(eq.P), s),
-        list(eq.Z),
-        xpoly.scale(list(eq.M), as_ratfun(1) / s),
+        xpoly.scale(eq.P, s),
+        eq.Z,
+        xpoly.scale(eq.M, as_ratfun(1) / s),
         eq.variable)
 
 
@@ -61,7 +61,8 @@ def _move_divisors(kind, alpha, variable):
         raise ValueError("factor parameter must not contain the variable")
     q = sym("q")
     if kind == "Pochhammer":
-        return [as_ratfun(1), -alpha], [as_ratfun(1), -q * alpha]
+        # trimmed, since alpha = 0 leaves the constant factor 1
+        return xpoly.trim([1, -alpha]), xpoly.trim([1, -q * alpha])
     if kind == "Theta":
         if alpha.is_zero:
             raise NotDivisible("zero factor cannot be removed")
@@ -78,29 +79,27 @@ def gauge_move_factor(eq: QDiffEq, kind, alpha) -> QDiffEq:
     """
     out_div, in_fac = _move_divisors(kind, alpha, eq.variable)
     try:
-        new_m = xpoly.divexact(list(eq.M), out_div)
+        new_m = xpoly.divexact(eq.M, out_div)
     except ValueError:
         raise NotDivisible(
             "M has no factor matching %s(alpha=%s)" % (kind, alpha))
-    return QDiffEq(xpoly.mul(list(eq.P), in_fac), list(eq.Z), new_m,
-                   eq.variable)
+    return QDiffEq(xpoly.mul(eq.P, in_fac), eq.Z, new_m, eq.variable)
 
 
 def _move_factor_back(eq: QDiffEq, kind, alpha) -> QDiffEq:
     """Inverse of gauge_move_factor: the factor returns from P to M."""
     out_div, in_fac = _move_divisors(kind, alpha, eq.variable)
     try:
-        new_p = xpoly.divexact(list(eq.P), in_fac)
+        new_p = xpoly.divexact(eq.P, in_fac)
     except ValueError:
         raise NotDivisible(
             "P has no factor matching %s(alpha=%s)" % (kind, alpha))
-    return QDiffEq(new_p, list(eq.Z), xpoly.mul(list(eq.M), out_div),
-                   eq.variable)
+    return QDiffEq(new_p, eq.Z, xpoly.mul(eq.M, out_div), eq.variable)
 
 
 def _as_xpoly(p, variable):
     if isinstance(p, (list, tuple)):
-        return xpoly.trim(list(p))
+        return xpoly.trim(p)
     num, den = xpoly.from_ratfun(as_ratfun(p), variable)
     if xpoly.degree(den) > 0:
         raise ValueError("gauge factor must be a polynomial in the variable")
@@ -121,9 +120,9 @@ def gauge_linear(eq: QDiffEq, p, q=None) -> QDiffEq:
     base = sym("q") if q is None else as_ratfun(q)
     p_down = xpoly.shift_arg(p_x, as_ratfun(1) / base)
     return QDiffEq(
-        xpoly.mul(xpoly.mul(list(eq.P), p_x), p_down),
-        xpoly.mul(list(eq.Z), p_down),
-        list(eq.M),
+        xpoly.mul(xpoly.mul(eq.P, p_x), p_down),
+        xpoly.mul(eq.Z, p_down),
+        eq.M,
         eq.variable)
 
 
@@ -138,9 +137,9 @@ def _gauge_linear_back(eq: QDiffEq, p) -> QDiffEq:
         raise ValueError("gauge factor polynomial is zero")
     p_down = xpoly.shift_arg(p_x, as_ratfun(1) / sym("q"))
     return QDiffEq(
-        list(eq.P),
-        xpoly.mul(list(eq.Z), p_x),
-        xpoly.mul(xpoly.mul(list(eq.M), p_x), p_down),
+        eq.P,
+        xpoly.mul(eq.Z, p_x),
+        xpoly.mul(xpoly.mul(eq.M, p_x), p_down),
         eq.variable)
 
 
@@ -153,9 +152,9 @@ def invert_variable(eq: QDiffEq) -> QDiffEq:
     """
     d = eq.degree
     return QDiffEq(
-        xpoly.reverse(list(eq.M), d),
-        xpoly.reverse(list(eq.Z), d),
-        xpoly.reverse(list(eq.P), d),
+        xpoly.reverse(eq.M, d),
+        xpoly.reverse(eq.Z, d),
+        xpoly.reverse(eq.P, d),
         eq.variable)
 
 
@@ -174,9 +173,9 @@ def _rebase_steps(eq: QDiffEq, steps: int) -> QDiffEq:
     """Shift the base point: substitute x -> x/q^steps in all coefficients."""
     c = sym("q") ** (-steps)
     return QDiffEq(
-        xpoly.shift_arg(list(eq.P), c),
-        xpoly.shift_arg(list(eq.Z), c),
-        xpoly.shift_arg(list(eq.M), c),
+        xpoly.shift_arg(eq.P, c),
+        xpoly.shift_arg(eq.Z, c),
+        xpoly.shift_arg(eq.M, c),
         eq.variable)
 
 
@@ -228,9 +227,9 @@ def apply_record(rec: GaugeRecord, eq: QDiffEq) -> QDiffEq:
         if rec.inverted:
             s = _q_power(lam)
             return QDiffEq(
-                xpoly.scale(list(eq.P), as_ratfun(1) / s),
-                list(eq.Z),
-                xpoly.scale(list(eq.M), s),
+                xpoly.scale(eq.P, as_ratfun(1) / s),
+                eq.Z,
+                xpoly.scale(eq.M, s),
                 eq.variable)
         return gauge_power(eq, lam)
     if kind == "MoveFactor":

@@ -80,10 +80,23 @@ def quad_roots(a, b, c):
         return (-c / b,) if b else ()
     disc = b * b - 4 * a * c
     root = exact_sqrt(disc) if isinstance(disc, Fraction) else None
-    if root is None:
-        root = complex(disc) ** 0.5
-    pair = ((-b - root) / (2 * a), (-b + root) / (2 * a))
-    if isinstance(root, complex):
+    if root is not None:
+        pair = ((-b - root) / (2 * a), (-b + root) / (2 * a))
+    else:
+        if not isinstance(disc, complex) and disc < 0:
+            # real data, complex roots: an exact conjugate pair, so the
+            # sort orders it by the sign of the imaginary part, not noise
+            re, im = float(-b / (2 * a)), math.sqrt(-disc) / abs(2 * a)
+            pair = (complex(re, -im), complex(re, im))
+        else:
+            root = complex(disc) ** 0.5
+            # -(b + root)/2 adds two terms pointing the same way, so the
+            # root of larger modulus comes out without cancellation; the
+            # other one follows from the product of the roots, c/a
+            if (b.conjugate() * root).real < 0:
+                root = -root
+            big = -(b + root) / 2
+            pair = (big / a, c / big if big else big)
         pair = [z.real if abs(z.imag) < 1e-13 * (1 + abs(z)) else z
                 for z in pair]
     return tuple(sorted(pair, key=lambda z: (z.real, z.imag)))

@@ -27,8 +27,7 @@ cannot collide with the small expansion parameter used by climit.
 import math
 from fractions import Fraction
 
-from .climit import (AllZero, HeunODE, Unclassifiable, _div, _pad,
-                     classify_ode)
+from .climit import AllZero, HeunODE, Unclassifiable, classify_ode
 from .local import exact_sqrt, quad_roots
 
 __all__ = ["ConstraintViolation", "NoMatch", "HeunParams", "HEParams",
@@ -291,13 +290,8 @@ def _key(v):
     return (z.real, z.imag)
 
 
-def _rows(ode, width=3):
-    return (_pad(ode.second, width), _pad(ode.first, width),
-            _pad(ode.zeroth, width))
-
-
 def _match_he(ode):
-    s, f, q = _rows(ode)
+    s, f, q = ode.padded(3)
     if q[0] != 0:
         return NoMatch("a constant term survives in the undifferentiated "
                        "row; split off an origin power first")
@@ -311,14 +305,14 @@ def _match_he(ode):
     candidates = []
     for sigma, other in pairs:
         n = s[2] * sigma * sigma
-        t = _div(other, sigma)
-        total = _div(f[2] * sigma * sigma, n)   # gamma + delta + ehat
-        gamma = _div(_div(f[0], n), t)
-        m1 = -_div(f[1] * sigma, n)
-        delta = _div(m1 - gamma * t - total, t - 1)
+        t = other / sigma
+        total = f[2] * sigma * sigma / n   # gamma + delta + ehat
+        gamma = f[0] / n / t
+        m1 = -(f[1] * sigma / n)
+        delta = (m1 - gamma * t - total) / (t - 1)
         ehat = total - gamma - delta
-        ab = _div(q[2] * sigma * sigma, n)
-        B = -_div(q[1] * sigma, n)
+        ab = q[2] * sigma * sigma / n
+        B = -(q[1] * sigma / n)
         alpha, beta = quad_roots(Fraction(1), -(total - 1), ab)
         candidates.append(
             HEParams(alpha, beta, gamma, delta, ehat, t, B))
@@ -328,32 +322,32 @@ def _match_he(ode):
 
 
 def _match_che(ode):
-    s, f, q = _rows(ode)
+    s, f, q = ode.padded(3)
     if q[0] != 0:
         return NoMatch("a constant term survives in the undifferentiated "
                        "row; split off an origin power first")
-    sigma = _div(-s[0], s[1])
+    sigma = -s[0] / s[1]
     n = -s[0]
-    beta = -_div(f[2] * sigma * sigma, n)
+    beta = -(f[2] * sigma * sigma / n)
     if beta == 0:
         return NoMatch("reduced confluent shape: no quadratic term in "
                        "the first-derivative row")
-    gamma = -_div(f[0], n)
-    delta = _div(f[1] * sigma, n) - gamma - beta
-    alpha = _div(-_div(q[2] * sigma * sigma, n), beta)
-    B = _div(q[1] * sigma, n)
+    gamma = -(f[0] / n)
+    delta = f[1] * sigma / n - gamma - beta
+    alpha = -(q[2] * sigma * sigma / n) / beta
+    B = q[1] * sigma / n
     return CHEParams(alpha, beta, gamma, delta, B)
 
 
 def _match_bhe(ode):
-    s, f, q = _rows(ode)
+    s, f, q = ode.padded(3)
     if q[0] != 0:
         return NoMatch("a constant term survives in the undifferentiated "
                        "row; split off an origin power first")
     if f[2] == 0:
         return NoMatch("no quadratic term in the first-derivative row; "
                        "the infinity structure is too degenerate")
-    sig2 = _div(-s[0], f[2])
+    sig2 = -s[0] / f[2]
     if isinstance(sig2, complex) and sig2.imag == 0:
         sig2 = sig2.real
     if isinstance(sig2, complex) or sig2 < 0:
@@ -361,46 +355,46 @@ def _match_bhe(ode):
                        "or non-real stretch; outside the real catalog")
     sigma = _sqrt_any(sig2)
     n = s[0]
-    gamma = _div(f[0], n)
-    delta = -_div(f[1] * sigma, n)
-    alpha = -_div(q[2] * sig2, n)
-    B = _div(q[1] * sigma, n)
+    gamma = f[0] / n
+    delta = -(f[1] * sigma / n)
+    alpha = -(q[2] * sig2 / n)
+    B = q[1] * sigma / n
     return BHEParams(alpha, gamma, delta, B)
 
 
 def _match_dhe(ode):
-    s, f, q = _rows(ode)
+    s, f, q = ode.padded(3)
     if q[0] != 0:
         return NoMatch("a constant term survives in the undifferentiated "
                        "row; split off an origin power first")
     if f[2] == 0:
         return NoMatch("no quadratic term in the first-derivative row; "
                        "the infinity structure is too degenerate")
-    sigma = _div(-s[1], f[2])
+    sigma = -s[1] / f[2]
     n = s[1] * sigma
-    gamma = -_div(f[1] * sigma, n)
-    delta = -_div(f[0], n)
+    gamma = -(f[1] * sigma / n)
+    delta = -(f[0] / n)
     if delta == 0:
         return NoMatch("reduced DHE: the origin is ramified")
-    alpha = -_div(q[2] * sigma * sigma, n)
-    B = _div(q[1] * sigma, n)
+    alpha = -(q[2] * sigma * sigma / n)
+    B = q[1] * sigma / n
     return DHEParams(alpha, gamma, delta, B)
 
 
 def _match_the(ode):
-    s, f, q = _rows(ode, width=4)
+    s, f, q = ode.padded(4)
     if s[1] or s[2] or s[3] or f[0] or f[2] or q[0] or q[1]:
         return NoMatch("extra terms outside the triconfluent sparsity "
                        "pattern")
     if f[3] == 0:
         return NoMatch("no cubic drift term; infinity is too tame for "
                        "the triconfluent display")
-    sig3 = _div(-s[0], f[3])
+    sig3 = -s[0] / f[3]
     sigma = _cbrt_any(sig3)
     n = s[0]
-    gamma = -_div(f[1] * sigma, n)
-    alpha = _div(q[3] * sig3, n)
-    B = _div(q[2] * sigma * sigma, n)
+    gamma = -(f[1] * sigma / n)
+    alpha = q[3] * sig3 / n
+    B = q[2] * sigma * sigma / n
     return THEParams(alpha, gamma, B)
 
 

@@ -98,9 +98,9 @@ class QDiffEq:
         if factor.is_zero:
             raise ValueError("scale factor is zero")
         return QDiffEq(
-            xpoly.scale(list(self.P), factor),
-            xpoly.scale(list(self.Z), factor),
-            xpoly.scale(list(self.M), factor),
+            xpoly.scale(self.P, factor),
+            xpoly.scale(self.Z, factor),
+            xpoly.scale(self.M, factor),
             self.variable)
 
     @staticmethod
@@ -110,7 +110,7 @@ class QDiffEq:
         by the least common multiple (exact division, no other
         simplification)."""
         rows = [xpoly.from_ratfun(as_ratfun(r), variable) for r in (P, Z, M)]
-        common = xpoly.constant(1)
+        common = [as_ratfun(1)]
         for _, den in rows:
             common = xpoly.lcm(common, den)
         cleared = [xpoly.divexact(xpoly.mul(num, common), den)
@@ -165,17 +165,16 @@ class ThreeTermRelation:
 
 def equations_equal(a: QDiffEq, b: QDiffEq) -> bool:
     """Coefficient-wise exact equality."""
-    return (xpoly.eq(list(a.P), list(b.P))
-            and xpoly.eq(list(a.Z), list(b.Z))
-            and xpoly.eq(list(a.M), list(b.M)))
+    return (xpoly.eq(a.P, b.P) and xpoly.eq(a.Z, b.Z)
+            and xpoly.eq(a.M, b.M))
 
 
 def equations_proportional(a: QDiffEq, b: QDiffEq) -> bool:
     """True when one equation is the other multiplied through by a single
     nonzero factor, which may involve the shift variable.  Checked by
     cross-multiplying the coefficient polynomials pairwise."""
-    pa = [list(a.P), list(a.Z), list(a.M)]
-    pb = [list(b.P), list(b.Z), list(b.M)]
+    pa = [a.P, a.Z, a.M]
+    pb = [b.P, b.Z, b.M]
     for i in range(3):
         for j in range(i + 1, 3):
             if not xpoly.eq(xpoly.mul(pa[i], pb[j]), xpoly.mul(pa[j], pb[i])):

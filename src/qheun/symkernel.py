@@ -73,15 +73,15 @@ class MPoly:
 
     @staticmethod
     def _make(vars_, terms):
-        """Canonicalize: drop zero coefficients, unused variables, sort vars."""
-        terms = {e: c for e, c in terms.items() if c}
+        """Canonicalize by dropping the variables that no term uses.
+
+        Callers pass a sorted ``vars_`` (the union from ``_aligned`` or a
+        subsequence of a canonical ``vars``) and zero-free ``terms`` (the
+        term kernels never store a zero).  A sum or a substitution can
+        cancel a variable away; a product cannot, so ``__mul__`` skips this.
+        """
         if not terms:
             return _MP_ZERO
-        vars_ = tuple(vars_)
-        if any(vars_[i] >= vars_[i + 1] for i in range(len(vars_) - 1)):
-            order = sorted(range(len(vars_)), key=lambda i: vars_[i])
-            vars_ = tuple(vars_[i] for i in order)
-            terms = {tuple(e[i] for i in order): c for e, c in terms.items()}
         used = [i for i in range(len(vars_)) if any(e[i] for e in terms)]
         if len(used) != len(vars_):
             vars_ = tuple(vars_[i] for i in used)
@@ -186,8 +186,10 @@ class MPoly:
             return NotImplemented
         if self.is_zero or other.is_zero:
             return _MP_ZERO
+        # over Q, deg_v(a*b) = deg_v(a) + deg_v(b): a product of nonzero
+        # canonical polynomials uses every variable of the aligned tuple
         vars_, ta, tb = MPoly._aligned(self, other)
-        return MPoly._make(vars_, termops.mul_terms(ta, tb))
+        return MPoly(vars_, termops.mul_terms(ta, tb))
 
     __rmul__ = __mul__
 

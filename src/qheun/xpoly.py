@@ -1,94 +1,62 @@
 """Univariate polynomial helpers over exact rational-function coefficients.
 
-A polynomial in the shift variable is stored as a plain list of RatFun
+A polynomial in the shift variable is stored as a sequence of RatFun
 coefficients indexed by degree (index 0 is the constant term), with no
-trailing zeros.  The zero polynomial is the empty list.  Coefficients are
-rational functions of the remaining parameters, so division, gcd and lcm
-are exact field operations.
+trailing zeros.  The zero polynomial is the empty sequence.  Coefficients
+are rational functions of the remaining parameters, so division, gcd and
+lcm are exact field operations.
+
+The helpers trust that form: every argument polynomial is a trimmed
+sequence of RatFun (a QDiffEq side or a result of this module), and
+every scalar argument is a RatFun.  ``trim`` is the one way in for
+anything else.  Each helper returns a trimmed list.
 """
 
-from .symkernel import RatFun, as_ratfun, _RF_ZERO
+from .symkernel import RatFun, as_ratfun
 
-_ZERO = _RF_ZERO
+_ZERO = as_ratfun(0)
 _ONE = as_ratfun(1)
 
 
 def trim(p):
-    """Drop trailing zero coefficients; canonical form for all helpers."""
+    """Coerce entries to RatFun and drop trailing zeros: the canonical form."""
     p = [as_ratfun(c) for c in p]
     while p and p[-1].is_zero:
         p.pop()
     return p
 
 
-def is_zero(p):
-    return len(trim(p)) == 0
-
-
 def degree(p):
     """Degree of p, or -1 for the zero polynomial."""
-    return len(trim(p)) - 1
-
-
-def valuation(p):
-    """Lowest degree with a nonzero coefficient, or -1 for zero."""
-    p = trim(p)
-    for k, c in enumerate(p):
-        if not c.is_zero:
-            return k
-    return -1
-
-
-def constant(c):
-    return trim([as_ratfun(c)])
-
-
-def add(a, b):
-    a, b = trim(a), trim(b)
-    n = max(len(a), len(b))
-    out = []
-    for k in range(n):
-        ca = a[k] if k < len(a) else _ZERO
-        cb = b[k] if k < len(b) else _ZERO
-        out.append(ca + cb)
-    return trim(out)
-
-
-def neg(a):
-    return [-c for c in trim(a)]
-
-
-def sub(a, b):
-    return add(a, neg(b))
+    return len(p) - 1
 
 
 def scale(a, c):
     """Multiply every coefficient by the same x-free factor."""
-    c = as_ratfun(c)
     if c.is_zero:
         return []
-    return trim([ci * c for ci in trim(a)])
+    # a nonzero factor keeps the leading coefficient nonzero
+    return [ci * c for ci in a]
 
 
 def mul(a, b):
-    a, b = trim(a), trim(b)
     if not a or not b:
         return []
+    # the leading coefficient a[-1]*b[-1] is nonzero, so no trim is needed
     out = [_ZERO] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca.is_zero:
             continue
         for j, cb in enumerate(b):
             out[i + j] = out[i + j] + ca * cb
-    return trim(out)
+    return out
 
 
 def shift_arg(a, c):
     """Substitute x -> c*x: the degree-k coefficient picks up c^k."""
-    c = as_ratfun(c)
     out = []
     ck = _ONE
-    for k, ca in enumerate(trim(a)):
+    for k, ca in enumerate(a):
         if k:
             ck = ck * c
         out.append(ca * ck)
@@ -97,7 +65,6 @@ def shift_arg(a, c):
 
 def reverse(a, d):
     """Coefficients of x^d * a(1/x); d must be >= degree(a)."""
-    a = trim(a)
     if d + 1 < len(a):
         raise ValueError("reversal degree below actual degree")
     out = [_ZERO] * (d + 1)
@@ -108,39 +75,39 @@ def reverse(a, d):
 
 def eval_at(a, v):
     """Evaluate at an exact point by Horner's rule."""
-    v = as_ratfun(v)
     acc = _ZERO
-    for ca in reversed(trim(a)):
+    for ca in reversed(a):
         acc = acc * v + ca
     return acc
 
 
 def eq(a, b):
-    a, b = trim(a), trim(b)
     if len(a) != len(b):
         return False
     return all(ca == cb for ca, cb in zip(a, b))
 
 
 def divmod_x(a, b):
-    """Polynomial division with remainder over the coefficient field."""
-    a, b = trim(a), trim(b)
+    """Polynomial division with remainder over the coefficient field.
+
+    Returns (quot, rem) with a = quot*b + rem and degree(rem) < degree(b).
+    """
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    quot = [_ZERO] * max(len(a) - len(b) + 1, 0)
-    rem = list(a)
+    nb = len(b)
     lead = b[-1]
-    while len(rem) >= len(b) and trim(rem):
-        rem = trim(rem)
-        if len(rem) < len(b):
-            break
-        k = len(rem) - len(b)
-        c = rem[-1] / lead
+    quot = [_ZERO] * max(len(a) - nb + 1, 0)
+    rem = list(a)
+    for k in range(len(a) - nb, -1, -1):
+        top = rem[k + nb - 1]
+        if top.is_zero:
+            continue
+        c = top / lead
         quot[k] = c
-        for j, cb in enumerate(b):
-            rem[k + j] = rem[k + j] - c * cb
-        rem = rem[:-1]
-    return trim(quot), trim(rem)
+        # the leading slot cancels exactly and is dropped below
+        for j in range(nb - 1):
+            rem[k + j] = rem[k + j] - c * b[j]
+    return quot, trim(rem[:nb - 1])
 
 
 def divexact(a, b):
@@ -151,15 +118,13 @@ def divexact(a, b):
 
 
 def monic(a):
-    a = trim(a)
     if not a:
-        return a
+        return []
     return scale(a, _ONE / a[-1])
 
 
 def gcd(a, b):
     """Monic gcd by the Euclidean algorithm over the coefficient field."""
-    a, b = trim(a), trim(b)
     while b:
         _, r = divmod_x(a, b)
         a, b = b, r
@@ -167,7 +132,6 @@ def gcd(a, b):
 
 
 def lcm(a, b):
-    a, b = trim(a), trim(b)
     if not a or not b:
         return []
     g = gcd(a, b)
@@ -175,13 +139,12 @@ def lcm(a, b):
 
 
 def from_ratfun(r, var):
-    """Split a rational function into (numerator, denominator) polynomial
-    pairs in `var`, with var-free RatFun entries."""
-    r = as_ratfun(r)
-    num_u = r.num.univariate(var)
-    den_u = r.den.univariate(var)
-    nmax = max(num_u, default=-1)
-    dmax = max(den_u, default=-1)
-    num = [RatFun(num_u.get(k, 0)) for k in range(nmax + 1)]
-    den = [RatFun(den_u.get(k, 0)) for k in range(dmax + 1)]
-    return trim(num), trim(den)
+    """Split a RatFun into (numerator, denominator) polynomials in `var`,
+    with var-free RatFun entries."""
+    def split(p):
+        # univariate keeps nonzero coefficients only, so the top entry
+        # is nonzero and the list comes out trimmed
+        u = p.univariate(var)
+        return [RatFun(u[k]) if k in u else _ZERO
+                for k in range(max(u, default=-1) + 1)]
+    return split(r.num), split(r.den)

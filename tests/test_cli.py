@@ -16,6 +16,7 @@ from qheun.cli import (
     CONVENTION,
     EQ_FORMAT,
     FAMILY_FORMAT,
+    MAX_DEGREE,
     UsageError,
     read_binding,
     read_equation,
@@ -119,6 +120,28 @@ def test_read_equation_accepts_any_degree():
     assert eq.degree == 12
     assert ratfun_eq(eq.coeff("P", 12), sym("q"))
     assert read_equation(write_equation(eq)).degree == 12
+
+
+def test_read_equation_bounds_the_degree():
+    doc = write_equation(reference_equation("murata", "A7"))
+    doc["P"][str(MAX_DEGREE)] = "q"
+    assert read_equation(doc).degree == MAX_DEGREE
+    del doc["P"][str(MAX_DEGREE)]
+    doc["P"][str(MAX_DEGREE + 1)] = "q"
+    with pytest.raises(UsageError, match="maximum degree"):
+        read_equation(doc)
+    code, out, err = call(["classify"], stdin=json.dumps(doc))
+    assert code == 2 and out == ""
+    assert "maximum degree %d" % MAX_DEGREE in err
+
+
+def test_read_equation_refuses_a_huge_degree_before_allocating():
+    doc = write_equation(reference_equation("murata", "A7"))
+    # the malformed entry after the huge key makes code without the bound
+    # fail on that entry, before any dense list is built
+    doc["P"] = {"1" + "0" * 39: "q", "0": 3}
+    with pytest.raises(UsageError, match="maximum degree"):
+        read_equation(doc)
 
 
 def test_kny_linear_gauge_output_classifies():

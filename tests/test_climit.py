@@ -1,10 +1,16 @@
 """Limit passage q -> 1: exact limit data, classification, crosschecks."""
 
+import inspect
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qheun
+from qheun import climit
 from qheun.climit import (
     AllZero,
     EpsilonFamily,
@@ -186,6 +192,42 @@ def test_limit_diverges_on_second_order():
                         minus=("1", "0", "0"))
     with pytest.raises(LimitDiverges, match="second-order"):
         limit_coefficients(fam)
+
+
+def _skewed(real):
+    """_limit_value with the zero-row degree-1 slot value off by one."""
+    def skewed(expr, parameter, what):
+        value = real(expr, parameter, what)
+        return value + 1 if what.startswith("slot (zero, 1)") else value
+    return skewed
+
+
+def test_inconsistent_slot_values_raise(monkeypatch):
+    # consistent limits always give (b, -2b, b), so the check is reached
+    # only through a slot value that disagrees with the half sum
+    monkeypatch.setattr(climit, "_limit_value",
+                        _skewed(climit._limit_value))
+    with pytest.raises(LimitDiverges, match=r"slot \(zero, 1\)"):
+        limit_coefficients(preset_family("heun"))
+
+
+def test_slot_value_check_survives_optimized_mode():
+    # python -O strips assert statements; the check must not be one
+    script = "\n".join([
+        "from qheun import climit",
+        inspect.getsource(_skewed),
+        "climit._limit_value = _skewed(climit._limit_value)",
+        "try:",
+        "    climit.limit_coefficients(climit.preset_family('heun'))",
+        "except climit.LimitDiverges as exc:",
+        "    print('raised:', exc)",
+    ])
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qheun.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("raised: slot (zero, 1)")
 
 
 def test_limit_data_row_view():

@@ -1,10 +1,12 @@
 """Boundary exponents and local series solutions."""
 
+import decimal
+from decimal import Decimal
 from fractions import Fraction
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from qheun.gauge import gauge_power
 from qheun.lax import derive_equation
@@ -119,6 +121,7 @@ def test_rational_square_roots_are_found_exactly(f, g):
 
 
 @given(_RATS, _RATS, _RATS)
+@example(Fraction(1, 18), Fraction(37, 2), Fraction(1, 9))
 def test_quadratic_roots_solve_the_quadratic(a, b, c):
     roots = quad_roots(a, b, c)
     assert _sorted(roots)
@@ -131,12 +134,33 @@ def test_quadratic_roots_solve_the_quadratic(a, b, c):
     if exact:
         assert all(a * r * r + b * r + c == 0 for r in roots)
         return
-    # float roots: the smaller one may lose digits to cancellation, so
-    # check the larger root's residual and the sum of the roots
-    r = max(roots, key=abs)
-    size = abs(a) * abs(r) ** 2 + abs(b) * abs(r) + abs(c)
-    assert abs(a * r * r + b * r + c) <= 1e-12 * size
+    # float roots: neither root may lose digits to cancellation
+    for r in roots:
+        size = abs(a) * abs(r) ** 2 + abs(b) * abs(r) + abs(c)
+        assert abs(a * r * r + b * r + c) <= 1e-12 * size
     assert abs(sum(roots) + b / a) <= 1e-12 * sum(map(abs, roots))
+
+
+def test_small_float_root_keeps_its_digits():
+    # b^2 >> |4ac|: the textbook (-b + sqrt(disc))/(2a) cancels here and
+    # used to be off by about 49,000 ulps in the small root
+    a, b, c = Fraction(-91, 9), Fraction(541), Fraction(1, 11)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        da, db, dc = (Decimal(v.numerator) / v.denominator for v in (a, b, c))
+        root = (db * db - 4 * da * dc).sqrt()
+        exact = sorted(((-db - root) / (2 * da), (-db + root) / (2 * da)))
+    assert quad_roots(a, b, c) == tuple(float(v) for v in exact)
+    assert quad_roots(a, b, c)[0] == -0.0001680384573057739
+
+
+@given(_RATS.filter(bool), _RATS, _RATS)
+def test_complex_roots_of_real_data_are_conjugate(a, b, c):
+    # an exact conjugate pair sorts by the sign of its imaginary part,
+    # never by rounding noise in the real parts
+    roots = quad_roots(a, b, c)
+    if b * b - 4 * a * c < 0 and all(isinstance(r, complex) for r in roots):
+        assert roots[0] == roots[1].conjugate() and roots[0].imag < 0
 
 
 @given(_RATS, _RATS, _RATS.filter(bool))

@@ -1,0 +1,38 @@
+"""Rules over the package source itself, checked on its syntax trees."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import qheun
+
+_SOURCES = sorted(Path(qheun.__file__).parent.glob("*.py"))
+
+
+def _tree(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+@pytest.mark.parametrize("path", _SOURCES, ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    # python -O strips assert, so no mathematical check may rely on one
+    hits = [node.lineno for node in ast.walk(_tree(path))
+            if isinstance(node, ast.Assert)]
+    assert not hits, "%s: assert on line(s) %s" % (path.name, hits)
+
+
+@pytest.mark.parametrize("path", _SOURCES, ids=lambda p: p.name)
+def test_no_private_name_crosses_a_module(path):
+    # "from .climit import _div" couples two modules through a helper
+    # that neither documents; the private kernel module _termops itself
+    # is bound by symkernel alone, as symkernel.termops
+    hits = []
+    for node in ast.walk(_tree(path)):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        inside = node.level > 0 or (node.module or "").startswith("qheun")
+        if inside and node.module:
+            hits += [alias.name for alias in node.names
+                     if alias.name.startswith("_")]
+    assert not hits, "%s imports private names %s" % (path.name, hits)

@@ -77,14 +77,28 @@ def test_ring_axioms(a, b, c):
     assert a * b == b * a
 
 
+def _assert_canonical(p):
+    assert all(c != 0 for c in p.terms.values())
+    assert list(p.vars) == sorted(set(p.vars))
+    for e in p.terms:
+        assert len(e) == len(p.vars)
+    for i, v in enumerate(p.vars):
+        assert any(e[i] for e in p.terms)
+
+
 @settings(max_examples=40, deadline=None)
-@given(mpolys())
-def test_no_zero_terms_stored(a):
-    assert all(c != 0 for c in a.terms.values())
-    for e in a.terms:
-        assert len(e) == len(a.vars)
-    for i, v in enumerate(a.vars):
-        assert any(e[i] for e in a.terms)
+@given(mpolys(), mpolys(names=("w", "y")))
+def test_no_zero_terms_stored(a, b):
+    # every constructor path stores the canonical form, so that the
+    # product path can skip re-canonicalising
+    results = [a, a + b, a - b, a * b, a * a, (a + b) * (a - b)]
+    for p in (a, a * b):
+        results += p.univariate("y").values()
+    for p in (a, a + b):
+        r = p.substitute({"y": P("(w + 2)/(x - 1)"), "z": P("0")})
+        results += [r.num, r.den]
+    for p in results:
+        _assert_canonical(p)
 
 
 def test_degree_and_univariate():
