@@ -8,7 +8,8 @@ lifts Python's cap on int/str conversion while it lasts.  Floats appear
 only for genuinely approximate data.  Equation documents key each side
 by degree, a nonnegative integer written without leading zeros and at
 most MAX_DEGREE (1000); a larger key is a usage error, refused before
-any coefficient list is built.
+any coefficient list is built; so is a decimal exponent above
+MAX_EXPONENT (10000) in an exact rational, and JSON nested too deeply.
 Exit codes: 0 success, 1 verification mismatch, 2 usage or parse error,
 3 domain error.  A reader that closes stdout early does not change the
 exit code; the rest of the output is discarded.
@@ -23,12 +24,11 @@ from fractions import Fraction
 
 from . import climit, gauge as gaugemoves, lax, local, odeheun, qdiff
 from .qdiff import CONVENTION
-from .symkernel import (ParseError, UnknownParameter, as_ratfun, parse_expr,
-                        rat)
+from .symkernel import ParseError, UnknownParameter, as_ratfun, parse_expr
 
 __all__ = ["CONVENTION", "EQ_FORMAT", "BIND_FORMAT", "FAMILY_FORMAT",
-           "ODE_FORMAT", "MAX_DEGREE", "UsageError", "read_equation",
-           "write_equation", "read_binding", "run", "main"]
+           "ODE_FORMAT", "MAX_DEGREE", "MAX_EXPONENT", "UsageError",
+           "read_equation", "write_equation", "read_binding", "run", "main"]
 
 EQ_FORMAT = "qheun-eq/1"
 BIND_FORMAT = "qheun-params/1"
@@ -37,21 +37,20 @@ ODE_FORMAT = "qheun-ode/1"
 
 _IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 _DEGREE = re.compile(r"(0|[1-9][0-9]*)\Z")
+_EXPONENT = re.compile(r"[eE][-+]?[0_]*([0-9_]*)\s*\Z")
 
 #: Largest degree key an equation document may use.  Each side becomes a
 #: dense list up to its largest key, so the key bounds the memory a
 #: document can claim.
 MAX_DEGREE = 1000
 
+#: Largest decimal exponent, in absolute value, of an exact rational:
+#: Fraction("1e1000000000") would build a billion digits, for hours.
+MAX_EXPONENT = 10000
+
 
 class UsageError(Exception):
     """Bad flags or malformed input documents; maps to exit code 2."""
-
-
-_DOMAIN_ERRORS = (ArithmeticError, ValueError, ZeroDivisionError,
-                  local.DegenerateEquation, local.Resonance,
-                  local.UnboundParameter, climit.LimitDiverges,
-                  gaugemoves.NotDivisible, odeheun.ConstraintViolation)
 
 
 def _fail(condition, message):
@@ -139,12 +138,24 @@ def read_binding(doc) -> dict:
               "binding name %r is not an identifier" % (name,))
         _fail(isinstance(text, str),
               "exact values must be strings (binding %s)" % name)
-        try:
-            out[name] = Fraction(text)
-        except (ValueError, ZeroDivisionError):
-            raise UsageError("binding %s=%r is not an exact rational"
-                             % (name, text))
+        out[name] = _rational(text, "binding %s" % name)
     return out
+
+
+def _rational(text, what):
+    """Fraction(text), or a UsageError that names ``what``."""
+    power = _EXPONENT.search(text)
+    # compare lengths first: int() of a huge exponent is itself slow
+    digits = power.group(1).replace("_", "") if power else ""
+    _fail(len(digits) <= len(str(MAX_EXPONENT))
+          and int(digits or "0") <= MAX_EXPONENT,
+          "%s: decimal exponent of %.24r exceeds %d"
+          % (what, text, MAX_EXPONENT))
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise UsageError("%s wants an exact rational, got %.80r"
+                         % (what, text))
 
 
 def _exact(value):
@@ -172,7 +183,8 @@ def _read_text(path):
 def _load_json(path):
     try:
         return json.loads(_read_text(path))
-    except json.JSONDecodeError as bad:
+    except (json.JSONDecodeError, RecursionError) as bad:
+        # RecursionError: nested deeper than the decoder can follow
         raise UsageError("invalid JSON in %s: %s" % (path or "stdin", bad))
 
 
@@ -195,13 +207,6 @@ def _emit(text, path):
 
 def _emit_json(obj, path):
     _emit(json.dumps(obj, indent=2) + "\n", path)
-
-
-def _fraction_flag(text, flag):
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise UsageError("%s wants an exact rational, got %r" % (flag, text))
 
 
 def _bind_equation(eq, binding):
@@ -263,7 +268,7 @@ def _cmd_gauge(args):
     if kind == "power":
         _fail(args.exponent is not None, "--kind power needs --exponent")
         new = gaugemoves.gauge_power(
-            eq, _fraction_flag(args.exponent, "--exponent"))
+            eq, _rational(args.exponent, "--exponent"))
     elif kind in ("pochhammer", "theta"):
         _fail(args.alpha is not None, "--kind %s needs --alpha" % kind)
         names = _identifiers(args.alpha)
@@ -309,7 +314,7 @@ def _cmd_series(args):
            "q": _exact(sol.q), "exponentBase": _exact(sol.s),
            "coefficients": [_exact(c) for c in sol.coefficients]}
     if args.residual_at is not None:
-        x = _fraction_flag(args.residual_at, "--residual-at")
+        x = _rational(args.residual_at, "--residual-at")
         doc["residual"] = {"at": str(x),
                            "value": _exact(local.residual(eq, sol, x))}
     _emit_json(doc, args.out)
@@ -367,7 +372,7 @@ def _cmd_limit(args):
            "display": display}
     _emit_json(doc, args.emit)
     if args.crosscheck is not None:
-        eps = _fraction_flag(args.crosscheck, "--crosscheck")
+        eps = _rational(args.crosscheck, "--crosscheck")
         _fail(0 < eps < 1, "--crosscheck wants 0 < eps < 1")
         xs = (Fraction(1, 10),)
         coarse = climit.crosscheck(fam, eps, xs, N=12)
@@ -522,16 +527,12 @@ def _run(argv):
         return 2
     try:
         return args.handler(args)
-    except UsageError as bad:
+    except (UsageError, ParseError, UnknownParameter, OSError) as bad:
+        # UnknownParameter is a ValueError, so this handler comes first
         print("error: %s" % bad, file=sys.stderr)
         return 2
-    except (ParseError, UnknownParameter) as bad:
-        print("error: %s" % bad, file=sys.stderr)
-        return 2
-    except OSError as bad:
-        print("error: %s" % bad, file=sys.stderr)
-        return 2
-    except _DOMAIN_ERRORS as bad:
+    except (ArithmeticError, ValueError) as bad:
+        # every domain exception of the package derives from one of these
         print("error: %s" % bad, file=sys.stderr)
         return 3
 

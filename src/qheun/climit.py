@@ -362,18 +362,13 @@ def classify_ode(ode: HeunODE) -> HeunODE:
                 "constant slot of the zeroth row is nonzero but the origin "
                 "exponent equation is degenerate (b0 = b01 = 0)")
         b = _gauge_data(b, rho)
-        res = b.b00
-        if res != 0:
-            # a float root leaves rounding residue; anything larger means
-            # the exponent equation was not actually solved
-            scale = 1 + abs(b.b0) + abs(b.b01)
-            if abs(res) > 1e-9 * scale:
-                raise Unclassifiable(
-                    "origin exponent relation not satisfied (residual %r)"
-                    % (res,))
-            vals = b.as_dict()
-            vals["b00"] = 0
-            b = LimitData(**vals)
+        # a float root leaves rounding residue, 0.0 or not, and the slot
+        # is then the exact 0; anything larger means it was not a root
+        if abs(b.b00) > 1e-9 * (1 + abs(b.b0) + abs(b.b01)):
+            raise Unclassifiable(
+                "origin exponent relation not satisfied (residual %r)"
+                % (b.b00,))
+        b = LimitData(**dict(b.as_dict(), b00=0))
 
     if b.b2 != 0:
         if b.b0 == 0:

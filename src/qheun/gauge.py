@@ -97,15 +97,6 @@ def _move_factor_back(eq: QDiffEq, kind, alpha) -> QDiffEq:
     return QDiffEq(new_p, eq.Z, xpoly.mul(eq.M, out_div), eq.variable)
 
 
-def _as_xpoly(p, variable):
-    if isinstance(p, (list, tuple)):
-        return xpoly.trim(p)
-    num, den = xpoly.from_ratfun(as_ratfun(p), variable)
-    if xpoly.degree(den) > 0:
-        raise ValueError("gauge factor must be a polynomial in the variable")
-    return xpoly.scale(num, as_ratfun(1) / den[0])
-
-
 def gauge_linear(eq: QDiffEq, p, q=None) -> QDiffEq:
     """Divide the unknown by a function u with u(qx) = p(x)u(x).
 
@@ -114,9 +105,7 @@ def gauge_linear(eq: QDiffEq, p, q=None) -> QDiffEq:
     the down-shift: the symbol q by default, or the value q is bound to
     when the equation was built with a numeric q.
     """
-    p_x = _as_xpoly(p, eq.variable)
-    if not p_x:
-        raise ValueError("gauge factor polynomial is zero")
+    p_x = xpoly.as_xpoly(p, eq.variable)
     base = sym("q") if q is None else as_ratfun(q)
     p_down = xpoly.shift_arg(p_x, as_ratfun(1) / base)
     return QDiffEq(
@@ -132,9 +121,7 @@ def _gauge_linear_back(eq: QDiffEq, p) -> QDiffEq:
     P -> P, Z -> Z*p(x), M -> M*p(x)*p(x/q); composing with gauge_linear
     reproduces the original equation times the overall factor p(x)p(x/q).
     """
-    p_x = _as_xpoly(p, eq.variable)
-    if not p_x:
-        raise ValueError("gauge factor polynomial is zero")
+    p_x = xpoly.as_xpoly(p, eq.variable)
     p_down = xpoly.shift_arg(p_x, as_ratfun(1) / sym("q"))
     return QDiffEq(
         eq.P,

@@ -18,10 +18,9 @@ granted sign latitude; every other slot must agree exactly after the
 row's leading-coefficient normalisation.
 """
 
-from .symkernel import (RatFun, as_ratfun, limit_at_zero, parse_expr, rat,
+from .symkernel import (as_ratfun, limit_at_zero, parse_expr, rat,
                         ratfun_eq, sym)
 from . import xpoly
-from .gauge import gauge_linear
 from .qdiff import QDiffEq, ThreeTermRelation
 
 
@@ -69,6 +68,16 @@ def _bind(expr, binding):
     return expr.substitute(binding)
 
 
+def _checked_binding(family, binding, allowed):
+    """The binding with RatFun values; every name must be in ``allowed``."""
+    binding = dict(binding or {})
+    for name in binding:
+        if name not in allowed:
+            raise ValueError("parameter %r not used by family %s"
+                             % (name, family))
+    return {name: as_ratfun(value) for name, value in binding.items()}
+
+
 class MurataParams:
     """Parameter set for a matrix-pencil family, optionally bound.
 
@@ -82,15 +91,9 @@ class MurataParams:
     def __init__(self, family, binding=None):
         if family not in MURATA_FAMILIES:
             raise ValueError("unknown matrix-pencil family %r" % (family,))
-        allowed = set(_MURATA_SHARED) | set(_MURATA_EXTRA[family])
-        binding = dict(binding or {})
-        for name in binding:
-            if name not in allowed:
-                raise ValueError("parameter %r not used by family %s"
-                                 % (name, family))
         self.family = family
-        self.binding = {name: as_ratfun(value)
-                        for name, value in binding.items()}
+        self.binding = _checked_binding(
+            family, binding, _MURATA_SHARED + _MURATA_EXTRA[family])
         if "w" in self.binding and self.binding["w"].is_zero:
             raise InvariantViolation("off-diagonal scale w must not vanish")
         if family == "A4":
@@ -289,41 +292,41 @@ def _as_equation(up, mid, low, variable):
         _reduced(low, variable), variable)
 
 
-def _divide_sides(eq, factor):
-    """Divide all three sides by a shared polynomial factor, exactly."""
-    coeffs = []
-    for name in ("P", "Z", "M"):
-        r = _reduced(eq.scalar_coefficient(name) / factor, eq.variable)
-        _, den = xpoly.from_ratfun(r, eq.variable)
-        if xpoly.degree(den) > 0:
-            raise InvariantViolation(
-                "shared factor does not divide the %s coefficient" % name)
-        coeffs.append(r)
-    return QDiffEq.from_scalar_coefficients(*coeffs, variable=eq.variable)
+def _strip_factor(eq, p, q):
+    """Divide the unknown by u with u(qx) = p(x) u(x): P*p(x), Z, M/p(x/q).
+
+    This is the linear gauge with the factor p(x/q) all sides then share
+    cleared; ``q`` is the symbol q or its bound value.  Raises
+    InvariantViolation when p(x/q) does not divide M.
+    """
+    p_x = xpoly.as_xpoly(p, eq.variable)
+    p_down = xpoly.shift_arg(p_x, as_ratfun(1) / q)
+    try:
+        m = xpoly.divexact(eq.M, p_down)
+    except ValueError:
+        raise InvariantViolation("p(%s/q) does not divide M" % eq.variable)
+    return QDiffEq(xpoly.mul(eq.P, p_x), eq.Z, m, eq.variable)
 
 
 # Recipes for turning the generic relation into the summary-row equation.
 # "set" restricts a parameter, "limit" then sends l -> 0, "prediv" divides
-# the unknown by a linear function before stripping, "strip" applies the
-# exponential-factor gauge u(qx) = p(x) u(x) (as the equation-level linear
-# gauge with p(qx)), and "shared" is the factor all sides then share.
+# the unknown by a linear function before stripping, and "strip" is the
+# p(x) of the exponential factor u(qx) = p(x) u(x) that _strip_factor
+# removes, leaving P*p(x), Z, M/p(x/q).
 _MURATA_RECIPES = {
-    ("A4", "paper"): {"set": ("l", "a3"),
-                      "strip": "q*x - a1*t", "shared": "x - a1*t"},
+    ("A4", "paper"): {"set": ("l", "a3"), "strip": "q*x - a1*t"},
     ("A5", "paper"): {"set": ("l", "a1*t"), "prediv": "x/q - a1*t",
-                      "strip": "x - a1*t", "shared": "x/q - a1*t"},
-    ("A5s", "paper"): {"set": ("l", "a3"),
-                       "strip": "q*x - a1*t", "shared": "x - a1*t"},
+                      "strip": "x - a1*t"},
+    ("A5s", "paper"): {"set": ("l", "a3"), "strip": "q*x - a1*t"},
     ("A6", "paper"): {"set": ("l", "a1*t"), "prediv": "x/q - a1*t",
-                      "strip": "x - a1*t", "shared": "x/q - a1*t"},
-    ("A6s", "paper"): {"set": ("l", "a3"),
-                       "strip": "q^2*x - a3", "shared": "q*x - a3"},
+                      "strip": "x - a1*t"},
+    ("A6s", "paper"): {"set": ("l", "a3"), "strip": "q^2*x - a3"},
     ("A5", "alt"): {"set": ("m", "(a1*a2*t/(q*th1))*(1 + d*l)"),
                     "limit": True},
     ("A6", "alt"): {"set": ("m", "l*(l - a1*t)*(1 + d*l)/(q*th1*t)"),
                     "limit": True},
     ("A7", "alt"): {"set": ("m", "l^2*(1 + d*l)/(q*th1*t)"), "limit": True,
-                    "strip": "q*x", "shared": "x"},
+                    "strip": "q*x"},
     ("A7p", "alt"): {"set": ("m", "th1*t/(q*k1*k2) + d*l"), "limit": True},
 }
 
@@ -368,8 +371,7 @@ def specialize(family, variant, relation, binding=None):
         low = low * (m0 / m2)
     eq = _as_equation(up, mid, low, relation.variable)
     if "strip" in recipe:
-        eq = gauge_linear(eq, _bind(_mu(recipe["strip"]), binding), qv)
-        eq = _divide_sides(eq, _bind(_mu(recipe["shared"]), binding))
+        eq = _strip_factor(eq, _bind(_mu(recipe["strip"]), binding), qv)
     return eq
 
 
@@ -388,14 +390,8 @@ class KNYParams:
     def __init__(self, family, binding=None):
         if family not in KNY_FAMILIES:
             raise ValueError("unknown operator-pencil family %r" % (family,))
-        binding = dict(binding or {})
-        for name in binding:
-            if name not in self._NAMES:
-                raise ValueError("parameter %r not used by family %s"
-                                 % (name, family))
         self.family = family
-        self.binding = {name: as_ratfun(value)
-                        for name, value in binding.items()}
+        self.binding = _checked_binding(family, binding, self._NAMES)
         needed = ("q", "k1", "k2", "n1", "n2", "n3", "n4",
                   "n5", "n6", "n7", "n8")
         if all(name in self.binding for name in needed):
@@ -508,16 +504,14 @@ def kny_to_equation(op, apply_gauge=False):
     """Clear denominators of the pencil into a three-term equation.
 
     For the families whose summary row records a gauged form (E3a, E2a,
-    A1w8), ``apply_gauge`` additionally applies the linear gauge with
-    p(z) = q z - n4 and removes the factor z - n4 all sides then share;
-    for other families the flag has no effect.
+    A1w8), ``apply_gauge`` additionally strips the factor u with
+    u(qz) = p(z) u(z), p(z) = q z - n4, which turns (P, Z, M) into
+    (P*p(z), Z, M/p(z/q)); for other families the flag has no effect.
     """
     eq = _as_equation(op.c_plus, op.c_zero, op.c_minus, "z")
     if apply_gauge and op.family in KNY_GAUGED:
-        binding = op.binding
-        eq = gauge_linear(eq, _bind(_kn("q*z - n4"), binding),
-                          binding.get("q"))
-        eq = _divide_sides(eq, _bind(_kn("z - n4"), binding))
+        eq = _strip_factor(eq, _bind(_kn("q*z - n4"), op.binding),
+                           op.binding.get("q", sym("q")))
     return eq
 
 
@@ -619,31 +613,31 @@ _KNY_ACCESSORY = {
 }
 
 
-def _catalog_tables(catalog):
-    if catalog == "murata":
-        return _MURATA_ROWS, _MURATA_ACCESSORY, _mu, "x"
-    if catalog == "kny":
-        return _KNY_ROWS, _KNY_ACCESSORY, _kn, "z"
-    raise ValueError("unknown catalog %r" % (catalog,))
+_CATALOGS = {"murata": (_MURATA_ROWS, _MURATA_ACCESSORY, _mu, "x"),
+             "kny": (_KNY_ROWS, _KNY_ACCESSORY, _kn, "z")}
+
+
+def _catalog_tables(catalog, family):
+    """(row, accessory text, parser, variable) of one recorded family."""
+    if catalog not in _CATALOGS:
+        raise ValueError("unknown catalog %r" % (catalog,))
+    rows, formulas, parse, variable = _CATALOGS[catalog]
+    if family not in rows:
+        raise ValueError("unknown family %r in catalog %s"
+                         % (family, catalog))
+    return rows[family], formulas[family], parse, variable
 
 
 def reference_equation(catalog, family):
     """The recorded summary row as an equation, with d and g left free."""
-    rows, _, parse, variable = _catalog_tables(catalog)
-    if family not in rows:
-        raise ValueError("unknown family %r in catalog %s"
-                         % (family, catalog))
-    p, zc, mc = (parse(text) for text in rows[family])
+    row, _, parse, variable = _catalog_tables(catalog, family)
+    p, zc, mc = (parse(text) for text in row)
     return QDiffEq.from_scalar_coefficients(p, zc, mc, variable)
 
 
 def accessory_formula(catalog, family):
     """Recorded closed form of the accessory parameter, or None."""
-    rows, formulas, parse, _ = _catalog_tables(catalog)
-    if family not in rows:
-        raise ValueError("unknown family %r in catalog %s"
-                         % (family, catalog))
-    text = formulas[family]
+    _, text, parse, _ = _catalog_tables(catalog, family)
     return None if text is None else parse(text)
 
 
@@ -720,21 +714,15 @@ def verify_family(catalog, family, binding=None):
             der = restrict(derived.coeff(side, degree)) * scale
             ref = restrict(reference.coeff(side, degree), subst)
             if side == "Z" and degree == 1:
-                if ratfun_eq(der, ref):
-                    accessory_map = "asPrinted"
-                elif ratfun_eq(der, -ref):
-                    accessory_map = "flipped"
-                else:
-                    accessory_map = "unresolved"
-                    match = False
-                    discrepancies.append({"side": side, "degree": degree,
-                                          "derived": str(der),
-                                          "reference": str(ref)})
+                accessory_map = ("asPrinted" if ratfun_eq(der, ref) else
+                                 "flipped" if ratfun_eq(der, -ref) else
+                                 "unresolved")
+                if accessory_map != "unresolved":
+                    continue
+            elif ratfun_eq(der, ref):
                 continue
-            if not ratfun_eq(der, ref):
-                match = False
-                discrepancies.append({"side": side, "degree": degree,
-                                      "derived": str(der),
-                                      "reference": str(ref)})
+            match = False
+            discrepancies.append({"side": side, "degree": degree,
+                                  "derived": str(der), "reference": str(ref)})
     return {"catalog": catalog, "family": family, "match": match,
             "accessoryMap": accessory_map, "discrepancies": discrepancies}

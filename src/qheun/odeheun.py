@@ -286,8 +286,9 @@ def _cbrt_any(v):
 
 
 def _key(v):
+    # to nine decimals: parts equal up to rounding tie, the next decides
     z = complex(v)
-    return (z.real, z.imag)
+    return (round(z.real, 9), round(z.imag, 9))
 
 
 def _match_he(ode):
@@ -302,18 +303,19 @@ def _match_he(ode):
         pairs = [(Fraction(1), roots[1] if roots[0] == 1 else roots[0])]
     else:
         pairs = [(roots[0], roots[1]), (roots[1], roots[0])]
+    # free of the stretch, as the branch points multiply to s0/s2: both
+    # candidates share them, and the sort compares delta, not float noise
+    total = f[2] / s[2]   # gamma + delta + ehat
+    gamma = f[0] / s[0]
+    alpha, beta = quad_roots(Fraction(1), -(total - 1), q[2] / s[2])
     candidates = []
     for sigma, other in pairs:
         n = s[2] * sigma * sigma
         t = other / sigma
-        total = f[2] * sigma * sigma / n   # gamma + delta + ehat
-        gamma = f[0] / n / t
         m1 = -(f[1] * sigma / n)
         delta = (m1 - gamma * t - total) / (t - 1)
         ehat = total - gamma - delta
-        ab = q[2] * sigma * sigma / n
         B = -(q[1] * sigma / n)
-        alpha, beta = quad_roots(Fraction(1), -(total - 1), ab)
         candidates.append(
             HEParams(alpha, beta, gamma, delta, ehat, t, B))
     candidates.sort(key=lambda c: tuple(_key(getattr(c, n))

@@ -26,7 +26,7 @@ Rational = Fraction
 __all__ = [
     "Rational", "MPoly", "RatFun", "DivergesAtZero", "UnknownParameter",
     "ParseError", "poly_arith", "ratfun_eq", "substitute", "limit_at_zero",
-    "parse_expr", "sym", "rat", "as_ratfun", "termops",
+    "parse_expr", "MAX_NESTING", "sym", "rat", "as_ratfun", "termops",
 ]
 
 
@@ -587,6 +587,10 @@ def limit_at_zero(target, var: str) -> RatFun:
 
 # -- expression parser -----------------------------------------------------
 
+#: Deepest nesting of parentheses and unary minus signs in parse_expr
+MAX_NESTING = 100
+
+
 def parse_expr(text: str, universe) -> RatFun:
     """Parse the document grammar into a RatFun.
 
@@ -596,7 +600,8 @@ def parse_expr(text: str, universe) -> RatFun:
     base   := identifier | integer | '(' expr ')' | '-' base
 
     Identifiers must belong to ``universe``; '/' is exact division and
-    '^' takes nonnegative integer exponents only.
+    '^' takes nonnegative integer exponents only.  Nesting deeper than
+    MAX_NESTING, which would exhaust the stack, raises ParseError.
     """
     return _Parser(text, frozenset(universe)).run()
 
@@ -606,6 +611,7 @@ class _Parser:
         self.text = text
         self.universe = universe
         self.pos = 0
+        self.depth = 0
 
     def run(self) -> RatFun:
         value = self.expr()
@@ -667,15 +673,20 @@ class _Parser:
 
     def base(self) -> RatFun:
         ch = self.peek()
-        if ch == "-":
+        if ch == "-" or ch == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError("nesting deeper than %d" % MAX_NESTING,
+                                 self.text, self.pos)
+            self.depth += 1
             self.pos += 1
-            return -self.base()
-        if ch == "(":
-            self.pos += 1
-            value = self.expr()
-            if self.peek() != ")":
-                raise ParseError("expected ')'", self.text, self.pos)
-            self.pos += 1
+            if ch == "-":
+                value = -self.base()
+            else:
+                value = self.expr()
+                if self.peek() != ")":
+                    raise ParseError("expected ')'", self.text, self.pos)
+                self.pos += 1
+            self.depth -= 1
             return value
         if ch.isdigit():
             start = self.pos

@@ -8,8 +8,8 @@ lcm are exact field operations.
 
 The helpers trust that form: every argument polynomial is a trimmed
 sequence of RatFun (a QDiffEq side or a result of this module), and
-every scalar argument is a RatFun.  ``trim`` is the one way in for
-anything else.  Each helper returns a trimmed list.
+every scalar argument is a RatFun.  ``trim`` and ``as_xpoly`` are the
+ways in for anything else.  Each helper returns a trimmed list.
 """
 
 from .symkernel import RatFun, as_ratfun
@@ -148,3 +148,17 @@ def from_ratfun(r, var):
         return [RatFun(u[k]) if k in u else _ZERO
                 for k in range(max(u, default=-1) + 1)]
     return split(r.num), split(r.den)
+
+
+def as_xpoly(p, var):
+    """A nonzero polynomial in `var`, given as a coefficient sequence or
+    as a RatFun whose denominator is free of `var`; ValueError otherwise."""
+    if not isinstance(p, (list, tuple)):
+        num, den = from_ratfun(as_ratfun(p), var)
+        if degree(den) > 0:
+            raise ValueError("factor is not a polynomial in %s" % var)
+        p = scale(num, _ONE / den[0])
+    p = trim(p)
+    if not p:
+        raise ValueError("factor is the zero polynomial")
+    return p

@@ -9,6 +9,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qheun import equations_equal, ratfun_eq, reference_equation
 from qheun.cli import (
@@ -17,6 +18,7 @@ from qheun.cli import (
     EQ_FORMAT,
     FAMILY_FORMAT,
     MAX_DEGREE,
+    MAX_EXPONENT,
     UsageError,
     read_binding,
     read_equation,
@@ -165,6 +167,35 @@ def test_read_binding_exact():
             read_binding({"format": BIND_FORMAT, "bindings": bad})
     with pytest.raises(UsageError):
         read_binding({"format": "qheun-params/2", "bindings": {}})
+
+
+def test_read_binding_bounds_the_decimal_exponent():
+    # Fraction would expand these into a billion digits, for hours
+    edge = "1e%d" % MAX_EXPONENT
+    doc = {"format": BIND_FORMAT, "bindings": {"q": edge, "t": "2.5e-3"}}
+    assert read_binding(doc) == {"q": F(10) ** MAX_EXPONENT, "t": F(1, 400)}
+    for bad in ("1e1000000000", "1e-1000000000", "1E1_000_000_000",
+                "1e%d" % (MAX_EXPONENT + 1), "1e" + "9" * 5000):
+        with pytest.raises(UsageError, match="exponent"):
+            read_binding({"format": BIND_FORMAT, "bindings": {"q": bad}})
+
+
+def test_hostile_inputs_exit_2_without_a_traceback(a4_binding_file):
+    doc = derive_doc("murata", "A4")
+    deep_json = "[" * 100000 + "]" * 100000
+    deep_expr = json.dumps(dict(_json(doc), P={"0": "(" * 5000 + "q"
+                                                    + ")" * 5000}))
+    for argv, stdin in ((["classify"], deep_json),
+                        (["classify"], deep_expr),
+                        (["limit", "--preset", "heun", "--crosscheck",
+                          "1e-1000000000"], ""),
+                        (["gauge", "--kind", "power", "--exponent",
+                          "1e1000000000"], doc),
+                        (["series", "--bind", a4_binding_file,
+                          "--residual-at", "1e1000000000"], doc)):
+        code, _, err = call(argv, stdin)
+        assert code == 2, err
+        assert "Traceback" not in err and err.startswith("error:")
 
 
 # -- derive ----------------------------------------------------------------
@@ -574,3 +605,107 @@ def test_console_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert _json(proc.stdout)["match"] is True
+
+
+# -- fuzz ------------------------------------------------------------------
+
+# Small inputs only: each example runs one command in process, and no
+# strategy reaches a large exponent or a full `verify`.
+_EXPR = st.recursive(
+    st.sampled_from(("x", "z", "q", "t", "a1", "n4", "0", "1", "7", "x1",
+                     "")),
+    lambda inner: st.one_of(
+        st.builds("{} {} {}".format, inner, st.sampled_from("+-*/"), inner),
+        st.builds("({})".format, inner),
+        st.builds("-{}".format, inner),
+        st.builds("{}^{}".format, inner, st.integers(0, 3))),
+    max_leaves=6)
+_TEXT = st.one_of(_EXPR, st.text(alphabet="xq0127+-*/() .e_", max_size=12))
+_RATIONAL = st.sampled_from(("1/100", "1/2", "3", "-2", "0", "1e-2",
+                             "1e99999", "x", ""))
+_SIDE = st.dictionaries(
+    st.sampled_from(("0", "1", "2", "3", "01", "-1", "1001")),
+    st.one_of(_TEXT, st.integers(-3, 3)), max_size=3)
+_EQ_DOC = st.fixed_dictionaries({
+    "format": st.sampled_from((EQ_FORMAT, EQ_FORMAT, "qheun-eq/2")),
+    "variable": st.sampled_from(("x", "x", "z", "1x")),
+    "parameters": st.lists(st.sampled_from(("q", "t", "a1", "n4", "x")),
+                           max_size=4, unique=True),
+    "convention": st.sampled_from((CONVENTION, CONVENTION, "other")),
+    "P": _SIDE, "Z": _SIDE, "M": _SIDE})
+_ROW_DOCS = [write_equation(reference_equation(catalog, family))
+             for catalog, roster in (("murata", MURATA_FAMILIES),
+                                     ("kny", KNY_FAMILIES))
+             for family in roster]
+_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-9, 9), _TEXT),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(_TEXT, inner, max_size=3)),
+    max_leaves=8)
+_STDIN = st.one_of(st.builds(json.dumps, _EQ_DOC),
+                   st.builds(json.dumps, st.sampled_from(_ROW_DOCS)),
+                   st.builds(json.dumps, _JSON),
+                   st.text(max_size=16))
+_FLAGS = {
+    "derive": ("--catalog", "--family", "--variant", "--gauge",
+               "--no-gauge"),
+    "classify": (),
+    "polygon": ("--format",),
+    "gauge": ("--kind", "--exponent", "--alpha", "--factor"),
+    "exponents": ("--at", "--bind"),
+    "series": ("--bind", "--root", "--terms", "--residual-at"),
+    "limit": ("--preset", "--family-file", "--crosscheck"),
+    "verify": ("--catalog",),
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    bind = root / "bind.json"
+    bind.write_text(json.dumps(_A4_ROOT_BINDING))
+    family = root / "family.json"
+    family.write_text(json.dumps({"format": FAMILY_FORMAT,
+                                  "plus": ["1", "0", "eps"],
+                                  "zero": ["-2", "eps", "0"],
+                                  "minus": ["1", "0", "0"]}))
+    return str(bind), str(family), str(root / "missing.json")
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_fuzz_run_exits_with_a_documented_code(fuzz_files, data):
+    bind, family_file, missing = fuzz_files
+    values = {
+        "--catalog": st.sampled_from(("murata", "kny", "other")),
+        "--family": st.sampled_from(MURATA_FAMILIES + KNY_FAMILIES
+                                    + ("Z9",)),
+        "--variant": st.sampled_from(("paper", "alt", "other")),
+        "--format": st.sampled_from(("ascii", "svg", "png")),
+        "--kind": st.sampled_from(("power", "pochhammer", "theta",
+                                   "linear", "invert", "other")),
+        "--exponent": _RATIONAL, "--residual-at": _RATIONAL,
+        "--crosscheck": _RATIONAL, "--alpha": _TEXT, "--factor": _TEXT,
+        "--at": st.sampled_from(("zero", "infinity", "other")),
+        "--bind": st.sampled_from((bind, missing)),
+        "--family-file": st.sampled_from((family_file, missing)),
+        "--root": st.sampled_from(("0", "1", "2")),
+        "--terms": st.sampled_from(("0", "5", "12", "-1", "x")),
+        "--preset": st.sampled_from(("heun", "confluent", "biconfluent",
+                                     "doubly-confluent", "other")),
+    }
+    command = data.draw(st.sampled_from(sorted(_FLAGS)))
+    argv = [command]
+    if command == "verify":
+        # one family at a time keeps each example short
+        argv += ["--family", data.draw(values["--family"])]
+    for flag in data.draw(st.lists(st.sampled_from(_FLAGS[command] or ("",)),
+                                   max_size=4, unique=True)):
+        if flag in ("--gauge", "--no-gauge"):
+            argv.append(flag)
+        elif flag:
+            argv += [flag, data.draw(values[flag])]
+    stdin = data.draw(_STDIN)
+    code, _, err = call(argv, stdin)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err

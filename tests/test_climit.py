@@ -312,6 +312,14 @@ def test_classify_gauge_float_rho():
     assert ode.limits.b00 == 0
 
 
+def test_classify_gauge_stores_an_exact_zero():
+    # the float root leaves a residual of exactly 0.0 here; the slot is
+    # still the exact 0, as it is when the residual is merely small
+    ode = classify_ode(HeunODE([-2, 1, 3], [3, 3, -3], [-1, -3, 0]))
+    assert isinstance(ode.rho, float)
+    assert isinstance(ode.limits.b00, Fraction) and ode.limits.b00 == 0
+
+
 def test_classify_gauge_linear_rho():
     b = _b(b1=1, b21=-1, b01=2, b10=1, b00=-1)
     ode = classify_ode(emit_ode(b))

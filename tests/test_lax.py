@@ -5,6 +5,8 @@ import random
 
 import pytest
 
+from qheun import lax, xpoly
+from qheun.gauge import gauge_linear
 from qheun.lax import (KNY_FAMILIES, KNY_GAUGED, KNYParams, InvariantViolation,
                        MURATA_FAMILIES, MurataParams, SubstitutionSingular,
                        accessory_formula, build_kny, build_murata,
@@ -340,6 +342,46 @@ def test_gauged_row_depends_on_flag():
     op5 = build_kny(KNYParams("D5"))
     assert equations_equal(kny_to_equation(op5, apply_gauge=True),
                            kny_to_equation(op5))
+
+
+# -- the factor strip -------------------------------------------------------
+
+_STRIPPED_ROWS = ([("murata", f) for f in ("A4", "A5", "A5s", "A6", "A6s",
+                                           "A7")]
+                  + [("kny", f) for f in KNY_GAUGED])
+
+
+@pytest.mark.parametrize("binding", ({}, {"q": Fraction(3, 2)}),
+                         ids=("symbolic", "q-bound"))
+@pytest.mark.parametrize("catalog, family", _STRIPPED_ROWS)
+def test_strip_equals_gauge_then_division_by_p_down(monkeypatch, catalog,
+                                                    family, binding):
+    # the strip is the linear gauge followed by exact division of every
+    # side by p(x/q); record the one strip of the derivation and replay it
+    calls = []
+    strip = lax._strip_factor
+
+    def recording(eq, p, q):
+        calls.append((eq, p, q))
+        return strip(eq, p, q)
+
+    monkeypatch.setattr(lax, "_strip_factor", recording)
+    derived = derive_equation(catalog, family, binding)
+    (eq, p, q), = calls
+    assert ratfun_eq(q, binding.get("q", sym("q")))
+    gauged = gauge_linear(eq, p, q)
+    p_down = xpoly.shift_arg(xpoly.as_xpoly(p, eq.variable), rat(1) / q)
+    sides = [xpoly.divexact(list(gauged.side(n)), p_down)
+             for n in ("P", "Z", "M")]
+    assert equations_equal(derived, QDiffEq(*sides, eq.variable))
+
+
+def test_strip_refuses_a_factor_that_does_not_divide_m(monkeypatch):
+    # p(x/q) = x - th1 is no factor of the A4 M coefficient
+    monkeypatch.setitem(lax._MURATA_RECIPES, ("A4", "paper"),
+                        {"set": ("l", "a3"), "strip": "q*x - th1"})
+    with pytest.raises(InvariantViolation):
+        derive_equation("murata", "A4")
 
 
 # What the replayed derivation actually gives in each slot, written out

@@ -283,6 +283,18 @@ def test_match_irrational_stretch():
         assert abs(getattr(again, f) - getattr(p, f)) < 1e-9
 
 
+def test_match_he_reading_survives_rescaling():
+    # a complex pair of branch points gives two equivalent readings, t and
+    # its conjugate; scaling every row by 3 used to flip between them
+    rows = ((5, 8, 5), (5, 7, 9), (0, -4, 7))
+    p = match_class(HeunODE(*rows))
+    r = match_class(HeunODE(*(tuple(3 * v for v in row) for row in rows)))
+    assert isinstance(p, HEParams) and isinstance(r, HEParams)
+    assert p.t.imag < 0 and r.t.imag < 0
+    for f in p.FIELDS:
+        assert abs(getattr(r, f) - getattr(p, f)) < 1e-12
+
+
 def test_match_the_exact_cube_root():
     ode = HeunODE((8,), (0, -1, 0, -1), (0, 0, 4, 16))
     p = match_class(ode)

@@ -53,6 +53,14 @@ def _cases():
     for preset in preset_names():
         cases["limit --preset " + preset] = (["limit", "--preset", preset],
                                              None)
+    for catalog, family, factor, extra in (
+            ("murata", "A5", "x - a2*t", ()),
+            ("kny", "D5", "z - n3", ()),
+            ("kny", "E3a", "q*z - n4", ("--no-gauge",))):
+        label = "gauge --kind linear --factor %s < %s" % (
+            factor, " ".join((catalog, family) + extra))
+        cases[label] = (["gauge", "--kind", "linear", "--factor", factor],
+                        _derive(catalog, family, *extra))
     for catalog, family in _ROWS:
         for at in ("zero", "infinity"):
             cases["exponents --at %s < %s %s" % (at, catalog, family)] = (
@@ -163,6 +171,12 @@ _PINS = {
         "6883ac9d81e1f951cdb05d16b17a3e3405b43b5e2550701b9bdddb4bd82946e3",
     "exponents --at zero < murata A7p":
         "636e27edc8c7c607783673d65a61a0fc71022fcf918957adbae3eed7fe37fe8f",
+    "gauge --kind linear --factor q*z - n4 < kny E3a --no-gauge":
+        "31e8555f7df3c0a13338b9bce005a28672225c4eb3221bea7c6cf7d07f9055b7",
+    "gauge --kind linear --factor x - a2*t < murata A5":
+        "c4f0b949c13b951943db75e66701f4a72766470190e0c41286fecb1155b5a38b",
+    "gauge --kind linear --factor z - n3 < kny D5":
+        "2ed589b242579c4648bcea93054bd6a5f1a8024e60dfacca61fd6f28f600d785",
     "limit --preset biconfluent":
         "53e5d834a7556a6801c54e65fc4186a877b4f75b14d6a892a346dff3d255cf2d",
     "limit --preset confluent":

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qheun.symkernel import (DivergesAtZero, MPoly, ParseError, RatFun,
+from qheun.symkernel import (MAX_NESTING, DivergesAtZero, MPoly,
+                             ParseError, RatFun,
                              UnknownParameter, as_ratfun, limit_at_zero,
                              parse_expr, poly_arith, rat, ratfun_eq,
                              substitute, sym, termops)
@@ -253,6 +254,19 @@ def test_parse_errors():
         parse_expr("q + + q", ["q"])
     except ParseError as e:
         assert e.offset == 4
+
+
+def test_parse_nesting_is_bounded():
+    # deeper input would exhaust the recursive parser's stack instead
+    deep = MAX_NESTING
+    assert ratfun_eq(P("(" * deep + "q" + ")" * deep), sym("q"))
+    assert ratfun_eq(P("-" * deep + "q"), sym("q"))
+    assert ratfun_eq(P("-(" * (deep // 2) + "q" + ")" * (deep // 2)),
+                     sym("q"))
+    for bad in ("(" * 5000 + "q" + ")" * 5000, "-" * 5000 + "q",
+                "(" * (deep + 1) + "q" + ")" * (deep + 1)):
+        with pytest.raises(ParseError, match="nesting"):
+            P(bad)
 
 
 @settings(max_examples=60, deadline=None)
