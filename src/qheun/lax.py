@@ -346,9 +346,9 @@ def specialize(family, variant, relation, binding=None):
     ``variant`` selects between the restriction l -> root of the low
     coefficient ("paper") and the substitution for m followed by the
     limit l -> 0 ("alt"); not every family admits both.  ``binding``
-    must repeat the binding the relation was built with, so that the
-    recipe's own expressions are restricted consistently.  Limits that
-    do not exist raise DivergesAtZero.
+    must repeat the binding the relation was built with, less what the
+    recipe fixes (ValueError), so that the recipe's own expressions are
+    restricted consistently.  Limits that do not exist raise DivergesAtZero.
     """
     recipe = _MURATA_RECIPES.get((family, variant))
     if recipe is None:
@@ -357,8 +357,11 @@ def specialize(family, variant, relation, binding=None):
                for name, value in (binding or {}).items()}
     qv = binding.get("q", _mu("q"))
     name, text = recipe["set"]
-    if name not in binding:
-        relation = relation.substitute({name: _bind(_mu(text), binding)})
+    fixed = {name, "l" if recipe.get("limit") else name} & binding.keys()
+    if fixed:
+        raise ValueError("the %s %s recipe fixes %s; it cannot be bound"
+                         % (family, variant, min(fixed)))
+    relation = relation.substitute({name: _bind(_mu(text), binding)})
     up, mid, low = relation.up, relation.mid, relation.low
     if recipe.get("limit"):
         up, mid, low = (limit_at_zero(c, "l") for c in (up, mid, low))

@@ -138,7 +138,7 @@ class SeriesSolution:
 
     The exponent enters as s = q^r only.  c[0] = 1.  ``sides`` keeps the
     numeric coefficient values (P, Z, M lists by degree) the series was
-    computed against, so residual evaluation needs no rebinding.
+    computed against, for callers that rebuild its recurrence.
     """
 
     __slots__ = ("location", "s", "coefficients", "q", "binding", "sides")
@@ -216,22 +216,26 @@ def series_solution(eq: QDiffEq, binding, rootIndex=0, N=10):
 
 
 def residual(eq: QDiffEq, sol: SeriesSolution, x):
-    """|P(x) f(qx) + Z(x) f(x) + M(x) f(x/q)| on the truncated series.
+    """|P(x) s f(qx) + Z(x) f(x) + M(x) f(x/q)/s| on the truncated series.
 
-    The common factor x^r is dropped: the three shifted copies of the
-    series are evaluated through s and powers of q, so the value is a
-    plain number (exactly zero for an exact polynomial solution).
+    The common factor x^r is dropped, leaving sum_n c[n] x^n (s P(x) q^n
+    + Z(x) + M(x) q^-n/s) with ``eq`` bound at ``sol.binding``.  Exact
+    terms share one running denominator and are normalised once, at the
+    end; float and complex terms go into a plain running sum.
     """
     sides = _side_values(eq, sol.binding)
     q, s = sol.q, sol.s
-    up = sum(c * q ** n * x ** n for n, c in enumerate(sol.coefficients))
-    mid = sum(c * x ** n for n, c in enumerate(sol.coefficients))
-    low = sum(c * q ** (-n) * x ** n
-              for n, c in enumerate(sol.coefficients))
-
-    def poly(vals):
-        return sum(v * x ** k for k, v in enumerate(vals))
-
-    total = (poly(sides["P"]) * s * up + poly(sides["Z"]) * mid
-             + poly(sides["M"]) * low / s)
-    return abs(total)
+    up, mid, low = (sum(v * x ** k for k, v in enumerate(sides[name]))
+                    for name in "PZM")
+    up, low = up * s, low / s
+    num, den, inexact = 0, 1, 0
+    for n, c in enumerate(sol.coefficients):
+        term = c * (x ** n * (up * q ** n + mid + low * q ** (-n)))
+        if isinstance(term, (int, Fraction)):
+            # the denominators nest along the series, so this gcd is cheap
+            g = math.gcd(den, term.denominator)
+            num = num * (term.denominator // g) + term.numerator * (den // g)
+            den = den // g * term.denominator
+        else:
+            inexact += term
+    return abs(Fraction(num, den) + inexact)

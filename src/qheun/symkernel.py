@@ -17,7 +17,7 @@ qheun._termops, re-exported here as ``termops``.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 from . import _termops as termops
 
@@ -26,7 +26,8 @@ Rational = Fraction
 __all__ = [
     "Rational", "MPoly", "RatFun", "DivergesAtZero", "UnknownParameter",
     "ParseError", "poly_arith", "ratfun_eq", "substitute", "limit_at_zero",
-    "parse_expr", "MAX_NESTING", "sym", "rat", "as_ratfun", "termops",
+    "parse_expr", "MAX_NESTING", "MAX_TERMS", "sym", "rat", "as_ratfun",
+    "termops",
 ]
 
 
@@ -42,7 +43,9 @@ class ParseError(SyntaxError):
     """Syntax error in an expression string; carries the byte offset."""
 
     def __init__(self, message, text, pos):
-        super().__init__(f"{message} at offset {pos}: {text!r}")
+        lo, hi = max(0, pos - 20), pos + 20
+        window = "…" * (lo > 0) + text[lo:hi] + "…" * (hi < len(text))
+        super().__init__(f"{message} at offset {pos}: {window!r}")
         self.offset = pos
 
 
@@ -589,6 +592,8 @@ def limit_at_zero(target, var: str) -> RatFun:
 
 #: Deepest nesting of parentheses and unary minus signs in parse_expr
 MAX_NESTING = 100
+#: Most terms '^' may give a numerator or denominator in parse_expr
+MAX_TERMS = 256
 
 
 def parse_expr(text: str, universe) -> RatFun:
@@ -601,7 +606,8 @@ def parse_expr(text: str, universe) -> RatFun:
 
     Identifiers must belong to ``universe``; '/' is exact division and
     '^' takes nonnegative integer exponents only.  Nesting deeper than
-    MAX_NESTING, which would exhaust the stack, raises ParseError.
+    MAX_NESTING, which would exhaust the stack, raises ParseError, and so
+    does a power that may pass MAX_TERMS terms (counted before expanding).
     """
     return _Parser(text, frozenset(universe)).run()
 
@@ -668,7 +674,13 @@ class _Parser:
             if self.pos == start:
                 raise ParseError("expected a nonnegative integer exponent",
                                  self.text, start)
-            value = value ** int(self.text[start:self.pos])
+            k = int(self.text[start:self.pos])
+            for d in (len(value.num.terms) - 1, len(value.den.terms) - 1):
+                # (d+1 terms)^k has up to C(k+d, d) >= k+1 terms: cap k
+                if d > 0 and comb(min(k, MAX_TERMS) + d, d) > MAX_TERMS:
+                    raise ParseError("power may pass %d terms" % MAX_TERMS,
+                                     self.text, start)
+            value = value ** k
         return value
 
     def base(self) -> RatFun:

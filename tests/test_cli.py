@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qheun
 from qheun import equations_equal, ratfun_eq, reference_equation
 from qheun.cli import (
     BIND_FORMAT,
@@ -580,9 +581,16 @@ def test_unknown_flag():
     assert call(["derive", "--nope"])[0] == 2
 
 
+def _child_env():
+    """The environment of a child process that imports this qheun."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qheun.__file__)))
+    return dict(os.environ, PYTHONPATH=src)
+
+
 @pytest.mark.parametrize("unbuffered", [False, True])
 def test_closed_stdout_keeps_the_exit_code(unbuffered):
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env = _child_env()
+    env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     read_end, write_end = os.pipe()
@@ -602,7 +610,7 @@ def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "qheun.cli", "verify", "--catalog",
          "murata", "--family", "A7"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0
     assert _json(proc.stdout)["match"] is True
 

@@ -273,6 +273,19 @@ def test_specialize_rejects_missing_variant():
         specialize("A4", "alt", rel)
 
 
+@pytest.mark.parametrize("family, variant, name", [
+    ("A4", "paper", "l"), ("A6s", "paper", "l"), ("A5", "alt", "m"),
+    ("A7", "alt", "m"), ("A7", "alt", "l"), ("A7p", "alt", "l")])
+def test_specialize_refuses_a_binding_the_recipe_fixes(family, variant, name):
+    binding = {name: Fraction(2)}
+    rel = scalar_reduce(build_murata(MurataParams(family, binding)))
+    with pytest.raises(ValueError, match="fixes %s" % name):
+        specialize(family, variant, rel, binding)
+    if variant == lax.MURATA_TABLE_VARIANT[family]:
+        with pytest.raises(ValueError, match="fixes %s" % name):
+            derive_equation("murata", family, binding)
+
+
 def test_specialize_limit_divergence_propagates():
     rel = ThreeTermRelation(rat(1), P("1/l"), rat(1), "x")
     with pytest.raises(DivergesAtZero):

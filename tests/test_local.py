@@ -360,6 +360,73 @@ def test_float_backend():
     assert abs(residual(eq, sol, 0.05)) < 1e-12
 
 
+# Rational bindings of catalog rows, each pinning a rational origin
+# exponent s (with its root index) that resonates nowhere up to order 80
+_PINNED = [
+    ("murata", "A4", "a1=-2 a2=1/3 a3=-2 k1=-2 k2=-15/8 m=-2/3 t=-1 th1=1"
+     " th2=1/3 q=2/3", 1, "3/2"),
+    ("murata", "A6", "a1=2 k1=1/3 k2=-1/2 m=3/2 t=-3/2 th1=-4/3 q=2/3",
+     0, "2/3"),
+    ("kny", "D5", "g=1/2 k1=2 k2=-1/2 n1=1 n2=-1 n3=-1/2 n4=16/19 n5=1/2"
+     " n6=-2 n7=-2 n8=1 q=2/3", 1, "2/3"),
+    ("kny", "E2a", "g=3/2 k1=2 k2=-2/3 n1=-2 n2=3/2 n3=1/3 n4=-8/3"
+     " n5=-1/2 n8=1 q=2/3", 0, "1/2"),
+]
+
+
+def _exact_tail(eq, binding, sol, x):
+    """Orders N+1..N+top of P(x) s f(qx) + Z(x) f(x) + M(x) f(x/q)/s.
+
+    The recurrence makes orders 0..N vanish, so these orders at x are
+    the whole three-term sum.
+    """
+    vals = {n: [eq.coeff(n, k).evaluate(binding)
+                for k in range(eq.degree + 1)] for n in "PZM"}
+    q, s, c = binding["q"], sol.s, sol.coefficients
+    top, last = eq.degree, len(c) - 1
+    tail = 0
+    for order in range(last + 1, last + top + 1):
+        for n in range(max(0, order - top), last + 1):
+            k = order - n
+            slot = (vals["P"][k] * s * q ** n + vals["Z"][k]
+                    + vals["M"][k] / (s * q ** n))
+            tail += slot * c[n] * x ** order
+    return tail
+
+
+@pytest.mark.parametrize("catalog, family, binding, index, s", _PINNED,
+                         ids=[row[1] for row in _PINNED])
+def test_residual_is_the_exact_tail(catalog, family, binding, index, s):
+    binding = {name: Fraction(value) for name, value in
+               (pair.split("=") for pair in binding.split())}
+    eq = derive_equation(catalog, family)
+    for n in (0, 1, 17, 80):
+        sol = series_solution(eq, binding, rootIndex=index, N=n)
+        assert sol.s == Fraction(s)
+        for x in (Fraction(1, 10), Fraction(-3, 7), Fraction(2)):
+            assert residual(eq, sol, x) == abs(_exact_tail(eq, binding,
+                                                            sol, x))
+
+
+def test_residual_of_an_exact_series_at_a_float_point():
+    b = _a4_binding(Fraction(2), Fraction(3))
+    eq = derive_equation("murata", "A4", b)
+    sol = series_solution(eq, {"q": b["q"]}, rootIndex=0, N=4)
+    got = residual(eq, sol, 0.25)
+    assert isinstance(got, float)
+    assert got == pytest.approx(float(residual(eq, sol, Fraction(1, 4))),
+                                rel=1e-9)
+
+
+def test_integer_residual_prints_as_an_integer():
+    # s = 1 and c = (1, -3/2): the order-2 tail -3/2 x^2 is -6 at x = 2
+    eq = _eq("1", "-3 + x", "2")
+    sol = series_solution(eq, {"q": Fraction(3)}, rootIndex=0, N=1)
+    assert sol.s == 1 and sol.coefficients == (1, Fraction(-3, 2))
+    value = residual(eq, sol, 2)
+    assert value == 6 and str(value) == "6"
+
+
 def test_series_repr_and_chardata_repr():
     eq = _eq("1", "-2", "1")
     cz = char_exponents(eq, "Zero")

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qheun.symkernel import (MAX_NESTING, DivergesAtZero, MPoly,
+from qheun.symkernel import (MAX_NESTING, MAX_TERMS, DivergesAtZero, MPoly,
                              ParseError, RatFun,
                              UnknownParameter, as_ratfun, limit_at_zero,
                              parse_expr, poly_arith, rat, ratfun_eq,
@@ -266,6 +266,30 @@ def test_parse_nesting_is_bounded():
     for bad in ("(" * 5000 + "q" + ")" * 5000, "-" * 5000 + "q",
                 "(" * (deep + 1) + "q" + ")" * (deep + 1)):
         with pytest.raises(ParseError, match="nesting"):
+            P(bad)
+
+
+def test_parse_error_quotes_a_window():
+    bad = "q*" * 2500 + "q + + q" + "*q" * 2500
+    with pytest.raises(ParseError) as info:
+        parse_expr(bad, ["q"])
+    assert info.value.offset == 5004
+    assert len(str(info.value)) < 200
+    assert str(info.value) == "expected a value at offset 5004: %r" % (
+        "…" + bad[4984:5024] + "…")
+    with pytest.raises(ParseError, match="'q \\+ \\+ q'"):
+        parse_expr("q + + q", ["q"])
+
+
+def test_power_has_a_term_budget():
+    # C(k+t-1, t-1) bounds the terms of a t-term polynomial to the k,
+    # for the numerator and the denominator separately
+    assert len(P("(q + t + 1)^21").num.terms) == 253 <= MAX_TERMS
+    assert len(P("(q + 1)^%d" % (MAX_TERMS - 1)).num.terms) == MAX_TERMS
+    assert ratfun_eq(P("q^100000") / P("q^99999"), sym("q"))
+    for bad in ("(q + t + 1)^22", "(q + t + 1)^100", "(q + 1)^%d" % MAX_TERMS,
+                "(1/(q + t + 1))^100", "(q + 1)^" + "9" * 400):
+        with pytest.raises(ParseError, match="power"):
             P(bad)
 
 
