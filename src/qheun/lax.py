@@ -9,6 +9,11 @@ holds first-order operator pencils in the shift z -> qz together with an
 auxiliary scalar g; freezing the pencil's extra variable at its catalog
 value and clearing denominators again leaves a three-term equation.
 
+No factor is searched for: each derivation cancels only the factors its
+construction put in a denominator (the root l of a12(x) and the prediv
+m0(q^2 x) for murata, z - q*n4 in the kny "g-" term), dividing exactly.
+Each parameter constraint is stated once, in ``_CONSTRAINTS``.
+
 For every family the recorded summary row is stored as transcribed,
 except for four slips in the kny rows that are corrected in place; each
 correction carries a comment with its reason.  ``verify_family`` replays
@@ -68,22 +73,45 @@ def _bind(expr, binding):
     return expr.substitute(binding)
 
 
+# Each family's parameter constraint: a polynomial that vanishes on its
+# surface, and the names it is linear in, in the order they are solved for.
+_BALANCE = (_kn("q*n1*n2*n3*n4*n5*n6*n7*n8 - k1^2*k2^2"), ("n8", "n7"))
+_CONSTRAINTS = {"A4": (_mu("th1*th2 + k1*k2*a1*a2*a3"), ("th2", "th1")),
+                **{family: _BALANCE for family in KNY_FAMILIES}}
+
+
 def _checked_binding(family, binding, allowed):
-    """The binding with RatFun values; every name must be in ``allowed``."""
+    """The binding with RatFun values.  Every name must be in ``allowed``
+    (ValueError), and a binding that fixes every symbol of the family's
+    constraint must satisfy it (InvariantViolation)."""
     binding = dict(binding or {})
     for name in binding:
         if name not in allowed:
             raise ValueError("parameter %r not used by family %s"
                              % (name, family))
-    return {name: as_ratfun(value) for name, value in binding.items()}
+    binding = {name: as_ratfun(value) for name, value in binding.items()}
+    expr, _ = _CONSTRAINTS.get(family, (rat(0), ()))
+    if set(expr.variables()) <= binding.keys() and _bind(expr, binding):
+        raise InvariantViolation("%s binding breaks %s = 0" % (family, expr))
+    return binding
+
+
+def _surface(family, binding):
+    """The family's constraint solved for the first of its names the
+    binding leaves free, as a bound one-entry substitution, or {}."""
+    expr, names = _CONSTRAINTS.get(family, (None, ()))
+    for name in names:
+        if name not in binding:
+            (c0, c1), _ = xpoly.from_ratfun(expr, name)
+            return {name: _bind(-c0 / c1, binding)}
+    return {}
 
 
 class MurataParams:
     """Parameter set for a matrix-pencil family, optionally bound.
 
-    ``binding`` maps parameter names to exact values.  For the A4 family
-    the eigenvalue product constraint th1*th2 = -k1*k2*a1*a2*a3 is
-    checked as soon as every symbol in it is bound.
+    ``binding`` maps parameter names to exact values.  The A4 constraint
+    in ``_CONSTRAINTS`` is checked once every symbol in it is bound.
     """
 
     __slots__ = ("family", "binding")
@@ -96,16 +124,6 @@ class MurataParams:
             family, binding, _MURATA_SHARED + _MURATA_EXTRA[family])
         if "w" in self.binding and self.binding["w"].is_zero:
             raise InvariantViolation("off-diagonal scale w must not vanish")
-        if family == "A4":
-            needed = ("th1", "th2", "k1", "k2", "a1", "a2", "a3")
-            if all(name in self.binding for name in needed):
-                lhs = self.binding["th1"] * self.binding["th2"]
-                rhs = -(self.binding["k1"] * self.binding["k2"]
-                        * self.binding["a1"] * self.binding["a2"]
-                        * self.binding["a3"])
-                if not ratfun_eq(lhs, rhs):
-                    raise InvariantViolation(
-                        "A4 binding breaks th1*th2 = -k1*k2*a1*a2*a3")
 
 
 class LaxMatrix:
@@ -207,24 +225,9 @@ def _murata_entries(family, binding):
     return tuple(_bind(e, binding) for e in entries)
 
 
-def _murata_elimination(binding):
-    """A4 comparisons hold on the constraint surface; eliminate one theta."""
-    binding = binding or {}
-    if "th2" not in binding:
-        expr = _bind(_mu("-k1*k2*a1*a2*a3/th1"), binding)
-        return {"th2": expr}
-    if "th1" not in binding:
-        expr = _bind(_mu("-k1*k2*a1*a2*a3/th2"), binding)
-        return {"th1": expr}
-    return {}
-
-
 def _eq_on_surface(a, b, subst):
-    if ratfun_eq(a, b):
-        return True
-    if subst:
-        return ratfun_eq(a.substitute(subst), b.substitute(subst))
-    return False
+    return ratfun_eq(a, b) or bool(subst) and ratfun_eq(
+        a.substitute(subst), b.substitute(subst))
 
 
 def build_murata(params):
@@ -238,7 +241,7 @@ def build_murata(params):
     family, binding = params.family, params.binding
     mat = LaxMatrix(family, *_murata_entries(family, binding),
                     binding=binding)
-    surface = _murata_elimination(binding) if family == "A4" else {}
+    surface = _surface(family, binding)
     det = mat.det()
     stated = _bind(_mu(_MURATA_DET[family]), binding)
     if not _eq_on_surface(det, stated, surface):
@@ -274,22 +277,28 @@ def scalar_reduce(mat):
     return ThreeTermRelation(rat(1), mid, low, "x")
 
 
-def _reduced(r, variable):
-    """Cancel any common polynomial factor in ``variable`` from r."""
+def _cancel(r, factors, variable):
+    """r with the named factors (polynomials in ``variable``) divided
+    exactly out of its numerator and denominator.
+
+    A factor the denominator no longer holds (RatFun's own cancellation
+    took it) is skipped.  InvariantViolation when the numerator lacks a
+    factor the denominator held, or a denominator in ``variable`` is left.
+    """
     num, den = xpoly.from_ratfun(as_ratfun(r), variable)
+    for factor in factors:
+        f = xpoly.as_xpoly(factor, variable)
+        (den_q, den_r), (num_q, num_r) = (xpoly.divmod_x(p, f)
+                                          for p in (den, num))
+        if den_r:
+            continue
+        if num_r:
+            raise InvariantViolation("%s divides a denominator but not its "
+                                     "numerator" % factor)
+        num, den = num_q, den_q
     if xpoly.degree(den) > 0:
-        g = xpoly.gcd(num, den)
-        if xpoly.degree(g) > 0:
-            num = xpoly.divexact(num, g)
-            den = xpoly.divexact(den, g)
-    v = sym(variable)
-    return xpoly.eval_at(num, v) / xpoly.eval_at(den, v)
-
-
-def _as_equation(up, mid, low, variable):
-    return QDiffEq.from_scalar_coefficients(
-        _reduced(up, variable), _reduced(mid, variable),
-        _reduced(low, variable), variable)
+        raise InvariantViolation("a denominator in %s is left" % variable)
+    return xpoly.eval_at(num, sym(variable)) / den[0]
 
 
 def _strip_factor(eq, p, q):
@@ -349,6 +358,11 @@ def specialize(family, variant, relation, binding=None):
     must repeat the binding the relation was built with, less what the
     recipe fixes (ValueError), so that the recipe's own expressions are
     restricted consistently.  Limits that do not exist raise DivergesAtZero.
+
+    Unless the recipe takes a limit, mid and low lose the factor x - l
+    that the ratio a12(qx)/a12(x) of scalar_reduce put in their
+    denominators (l at its set value), and a prediv recipe's m0(q^2 x)
+    too; InvariantViolation if these do not clear the denominators.
     """
     recipe = _MURATA_RECIPES.get((family, variant))
     if recipe is None:
@@ -361,18 +375,22 @@ def specialize(family, variant, relation, binding=None):
     if fixed:
         raise ValueError("the %s %s recipe fixes %s; it cannot be bound"
                          % (family, variant, min(fixed)))
-    relation = relation.substitute({name: _bind(_mu(text), binding)})
+    value = _bind(_mu(text), binding)
+    relation = relation.substitute({name: value})
     up, mid, low = relation.up, relation.mid, relation.low
+    x = sym("x")
+    factors = () if recipe.get("limit") else (x - value,)
     if recipe.get("limit"):
         up, mid, low = (limit_at_zero(c, "l") for c in (up, mid, low))
     if "prediv" in recipe:
         m0 = _bind(_mu(recipe["prediv"]), binding)
-        x = sym("x")
         m1 = m0.substitute({"x": qv * x})
         m2 = m0.substitute({"x": qv * qv * x})
         mid = mid * (m1 / m2)
         low = low * (m0 / m2)
-    eq = _as_equation(up, mid, low, relation.variable)
+        factors += (m2,)
+    eq = QDiffEq.from_scalar_coefficients(
+        *(_cancel(c, factors, "x") for c in (up, mid, low)), "x")
     if "strip" in recipe:
         eq = _strip_factor(eq, _bind(_mu(recipe["strip"]), binding), qv)
     return eq
@@ -381,8 +399,9 @@ def specialize(family, variant, relation, binding=None):
 class KNYParams:
     """Parameter set for an operator-pencil family, optionally bound.
 
-    When every symbol in it is bound, the balance constraint
-    k1^2 * k2^2 = q * n1 * ... * n8 is checked.
+    When every symbol in it is bound, the balance constraint of
+    ``_CONSTRAINTS`` is checked.  The KNY_GAUGED families refuse k1 = 0,
+    which removes their only up-shift term.
     """
 
     __slots__ = ("family", "binding")
@@ -395,17 +414,9 @@ class KNYParams:
             raise ValueError("unknown operator-pencil family %r" % (family,))
         self.family = family
         self.binding = _checked_binding(family, binding, self._NAMES)
-        needed = ("q", "k1", "k2", "n1", "n2", "n3", "n4",
-                  "n5", "n6", "n7", "n8")
-        if all(name in self.binding for name in needed):
-            b = self.binding
-            lhs = (b["k1"] * b["k1"]) * (b["k2"] * b["k2"])
-            rhs = b["q"]
-            for i in range(1, 9):
-                rhs = rhs * b["n%d" % i]
-            if not ratfun_eq(lhs, rhs):
-                raise InvariantViolation(
-                    "binding breaks k1^2*k2^2 = q*n1*...*n8")
+        if family in KNY_GAUGED and self.binding.get("k1", 1) == 0:
+            raise InvariantViolation("k1 must not vanish in %s: it scales "
+                                     "the only up-shift term" % family)
 
 
 class KNYOperator:
@@ -467,25 +478,23 @@ def build_kny(params):
 
     The pencil's free variable f is replaced by n4, its fixed point in
     the catalog; a denominator vanishing identically under that
-    substitution raises SubstitutionSingular.
+    substitution raises SubstitutionSingular.  The factor z - q*n4 that
+    freezing puts in both parts of the "g-" term is cancelled there.
     """
     family, binding = params.family, params.binding
     g = sym("g")
     freeze = {"f": sym("n4")}
-    c_plus = rat(0)
-    c_zero = rat(0)
-    c_minus = rat(0)
+    c_plus = c_zero = c_minus = rat(0)
     for text, action in _KNY_TERMS[family]:
         try:
-            # freezing makes most z-denominators cancellable; reduce each
-            # term right away so the sums stay small
-            c = _reduced(_kn(text).substitute(freeze), "z")
+            c = _kn(text).substitute(freeze)
         except ZeroDivisionError:
             raise SubstitutionSingular(
                 "freezing f = n4 annihilates a denominator in %s" % family)
         if action == "1":
             c_zero = c_zero + c
         elif action == "g-":
+            c = _cancel(c, (_kn("z - q*n4"),), "z")
             c_zero = c_zero + c * g
             c_minus = c_minus - c
         elif action == "+g":
@@ -511,7 +520,8 @@ def kny_to_equation(op, apply_gauge=False):
     u(qz) = p(z) u(z), p(z) = q z - n4, which turns (P, Z, M) into
     (P*p(z), Z, M/p(z/q)); for other families the flag has no effect.
     """
-    eq = _as_equation(op.c_plus, op.c_zero, op.c_minus, "z")
+    eq = QDiffEq.from_scalar_coefficients(op.c_plus, op.c_zero, op.c_minus,
+                                          "z")
     if apply_gauge and op.family in KNY_GAUGED:
         eq = _strip_factor(eq, _bind(_kn("q*z - n4"), op.binding),
                            op.binding.get("q", sym("q")))
@@ -658,18 +668,6 @@ def derive_equation(catalog, family, binding=None):
     raise ValueError("unknown catalog %r" % (catalog,))
 
 
-def _kny_elimination(binding):
-    """Eliminate one parameter by the balance constraint, if any is free."""
-    binding = binding or {}
-    for name in ("n8", "n7"):
-        if name not in binding:
-            others = [n for n in ("n1", "n2", "n3", "n4", "n5", "n6",
-                                  "n7", "n8") if n != name]
-            text = "k1^2*k2^2/(q*" + "*".join(others) + ")"
-            return {name: _bind(_kn(text), binding)}
-    return {}
-
-
 def verify_family(catalog, family, binding=None):
     """Compare the replayed derivation against the recorded summary row.
 
@@ -689,18 +687,10 @@ def verify_family(catalog, family, binding=None):
     subst = dict(binding)
     if formula is not None:
         subst["d"] = _bind(formula, binding)
-    if catalog == "murata":
-        surface = _murata_elimination(binding) if family == "A4" else {}
-    else:
-        surface = _kny_elimination(binding)
+    surface = _surface(family, binding)
 
     def restrict(r, extra=None):
-        r = as_ratfun(r)
-        if extra:
-            r = r.substitute(extra)
-        if surface:
-            r = r.substitute(surface)
-        return r
+        return _bind(_bind(as_ratfun(r), extra), surface)
 
     top = max(reference.degree, derived.degree)
     lead = next((k for k in range(top, -1, -1)

@@ -341,19 +341,6 @@ NAMED_FORMS = (
      (("P", 0), ("M", 2)), (("P", 2), ("P", 1), ("M", 1), ("M", 0))),
 )
 
-#: How the named forms exchange under inversion of the variable
-#: (x -> 1/x with the P and M sides swapped and degrees reversed).
-MIRROR_VARIANT = {
-    "cqHE": "cqHE3", "cqHE3": "cqHE",
-    "cqHE2": "cqHE4", "cqHE4": "cqHE2",
-    "bqHE": "bqHE3", "bqHE3": "bqHE",
-    "bqHE2": "bqHE4", "bqHE4": "bqHE2",
-    "bqHE5": "bqHE6", "bqHE6": "bqHE5",
-    "dqHE": "dqHE2", "dqHE2": "dqHE",
-    "dqHE3": "dqHE3", "dqHE4": "dqHE4",
-}
-
-
 def _matches(form, nz):
     _, _, zeros, nonzeros = form
     return (all(pos not in nz for pos in zeros)

@@ -16,6 +16,7 @@ qheun._termops, re-exported here as ``termops``.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import comb, gcd
 
@@ -26,8 +27,8 @@ Rational = Fraction
 __all__ = [
     "Rational", "MPoly", "RatFun", "DivergesAtZero", "UnknownParameter",
     "ParseError", "poly_arith", "ratfun_eq", "substitute", "limit_at_zero",
-    "parse_expr", "MAX_NESTING", "MAX_TERMS", "sym", "rat", "as_ratfun",
-    "termops",
+    "parse_expr", "MAX_NESTING", "MAX_TERMS", "MAX_BITS", "sym", "rat",
+    "as_ratfun", "termops",
 ]
 
 
@@ -594,6 +595,9 @@ def limit_at_zero(target, var: str) -> RatFun:
 MAX_NESTING = 100
 #: Most terms '^' may give a numerator or denominator in parse_expr
 MAX_TERMS = 256
+#: Most bits '^' may give a coefficient in parse_expr: the exponent times
+#: the largest ceil(log2 |n|) over the base's numerators and denominators
+MAX_BITS = 1 << 16
 
 
 def parse_expr(text: str, universe) -> RatFun:
@@ -607,7 +611,9 @@ def parse_expr(text: str, universe) -> RatFun:
     Identifiers must belong to ``universe``; '/' is exact division and
     '^' takes nonnegative integer exponents only.  Nesting deeper than
     MAX_NESTING, which would exhaust the stack, raises ParseError, and so
-    does a power that may pass MAX_TERMS terms (counted before expanding).
+    does a power that may pass MAX_TERMS terms or MAX_BITS bits (checked
+    before expanding) and an integer longer than sys.get_int_max_str_digits;
+    an unknown identifier raises UnknownParameter.
     """
     return _Parser(text, frozenset(universe)).run()
 
@@ -669,17 +675,21 @@ class _Parser:
             self.pos += 1
             self.skip_ws()
             start = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self.pos += 1
-            if self.pos == start:
+            k = self.integer()
+            if k is None:
                 raise ParseError("expected a nonnegative integer exponent",
                                  self.text, start)
-            k = int(self.text[start:self.pos])
             for d in (len(value.num.terms) - 1, len(value.den.terms) - 1):
                 # (d+1 terms)^k has up to C(k+d, d) >= k+1 terms: cap k
                 if d > 0 and comb(min(k, MAX_TERMS) + d, d) > MAX_TERMS:
                     raise ParseError("power may pass %d terms" % MAX_TERMS,
                                      self.text, start)
+            coeffs = [*value.num.terms.values(), *value.den.terms.values()]
+            bits = max((abs(n) - 1).bit_length()
+                       for c in coeffs for n in (c.numerator, c.denominator))
+            if k * bits > MAX_BITS:
+                raise ParseError("power may pass %d bits" % MAX_BITS,
+                                 self.text, start)
             value = value ** k
         return value
 
@@ -700,11 +710,8 @@ class _Parser:
                 self.pos += 1
             self.depth -= 1
             return value
-        if ch.isdigit():
-            start = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self.pos += 1
-            return rat(int(self.text[start:self.pos]))
+        if ch.isdecimal():
+            return rat(self.integer())
         if ch.isalpha():
             start = self.pos
             while (self.pos < len(self.text)
@@ -713,7 +720,19 @@ class _Parser:
                 self.pos += 1
             name = self.text[start:self.pos]
             if name not in self.universe:
+                shown = name[:40] + "…" * (len(name) > 40)
                 raise UnknownParameter(
-                    f"unknown parameter {name!r} at offset {start}")
+                    f"unknown parameter {shown!r} at offset {start}")
             return sym(name)
         raise ParseError("expected a value", self.text, self.pos)
+
+    def integer(self):
+        """The run of decimal digits at pos as an int, or None if empty."""
+        start = self.pos
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
+            self.pos += 1
+        cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if cap and self.pos - start > cap:
+            raise ParseError("integer of more than %d digits" % cap,
+                             self.text, start)
+        return int(self.text[start:self.pos]) if self.pos > start else None

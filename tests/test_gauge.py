@@ -11,8 +11,8 @@ from qheun.gauge import (
     rebase, record_invert, record_linear, record_move_factor, record_power,
     record_rebase)
 from qheun.qdiff import (
-    MIRROR_VARIANT, NAMED_FORMS, QDiffEq, ThreeTermRelation, classify,
-    equations_equal, equations_proportional)
+    NAMED_FORMS, QDiffEq, ThreeTermRelation, classify, equations_equal,
+    equations_proportional)
 from qheun.symkernel import parse_expr, rat, ratfun_eq, sym
 
 U = ["q", "t", "a", "b", "c", "g1", "g2", "b1", "b0", "k1", "l", "x"]
@@ -181,6 +181,19 @@ def test_invert_is_involution():
     rec = record_invert()
     assert equations_proportional(
         apply_record(invert_record(rec), apply_record(rec, SAMPLE)), SAMPLE)
+
+
+# How the named forms exchange under inversion of the variable
+# (x -> 1/x with the P and M sides swapped and degrees reversed).
+MIRROR_VARIANT = {
+    "cqHE": "cqHE3", "cqHE3": "cqHE",
+    "cqHE2": "cqHE4", "cqHE4": "cqHE2",
+    "bqHE": "bqHE3", "bqHE3": "bqHE",
+    "bqHE2": "bqHE4", "bqHE4": "bqHE2",
+    "bqHE5": "bqHE6", "bqHE6": "bqHE5",
+    "dqHE": "dqHE2", "dqHE2": "dqHE",
+    "dqHE3": "dqHE3", "dqHE4": "dqHE4",
+}
 
 
 def test_invert_mirror_map_on_named_forms():

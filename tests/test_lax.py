@@ -313,6 +313,16 @@ def test_kny_full_binding_checks_balance():
         KNYParams("A1w", b)
 
 
+@pytest.mark.parametrize("family", KNY_GAUGED)
+def test_gauged_rows_refuse_k1_zero(family):
+    # P = (k1/n8)*...: with k1 = 0 the row has no up-shift term
+    with pytest.raises(InvariantViolation, match="k1"):
+        KNYParams(family, {"k1": 0})
+    with pytest.raises(InvariantViolation, match="k1"):
+        verify_family("kny", family, {"k1": 0})
+    KNYParams(family, {"k1": 2})
+
+
 def test_binding_that_kills_a_denominator():
     with pytest.raises(SubstitutionSingular):
         build_kny(KNYParams("A4w", {"n7": 0}))
@@ -395,6 +405,16 @@ def test_strip_refuses_a_factor_that_does_not_divide_m(monkeypatch):
                         {"set": ("l", "a3"), "strip": "q*x - th1"})
     with pytest.raises(InvariantViolation):
         derive_equation("murata", "A4")
+
+
+def test_a_named_factor_that_does_not_cancel_raises(monkeypatch):
+    # the prediv puts m0(q^2 x) = q*x - a2*t into the denominators of mid
+    # and low, but their numerators hold m0(q x) and m0(x) only
+    monkeypatch.setitem(lax._MURATA_RECIPES, ("A5", "paper"),
+                        {"set": ("l", "a1*t"), "prediv": "x/q - a2*t",
+                         "strip": "x - a1*t"})
+    with pytest.raises(InvariantViolation, match="numerator"):
+        derive_equation("murata", "A5")
 
 
 # What the replayed derivation actually gives in each slot, written out

@@ -8,13 +8,16 @@ is pinned by the digest of its exact output.
 
 import hashlib
 import io
+import json
 import sys
+from fractions import Fraction
 
 import pytest
 
-from qheun.cli import run
+from qheun import lax
+from qheun.cli import run, write_equation
 from qheun.climit import preset_names
-from qheun.lax import KNY_FAMILIES, MURATA_FAMILIES
+from qheun.lax import KNY_FAMILIES, MURATA_FAMILIES, derive_equation
 
 
 def _stdout(argv, stdin=""):
@@ -200,3 +203,162 @@ def test_stdout_bytes(label):
     stdin = _stdout(feed) if feed else ""
     digest = hashlib.sha256(_stdout(argv, stdin).encode("utf-8")).hexdigest()
     assert digest == _PINS.get(label)
+
+
+# -- bound derivations -----------------------------------------------------
+#
+# The derive document of each row at two fixed rational bindings, of the
+# A5/A6 "alt" routes at one binding, and of the degenerate bindings where
+# a factor the derivation cancels has already fallen away (murata A5/A6
+# at t = 0 or q = 1, kny D5/E3a at n4 = 0).
+
+_VALUES = {"q": Fraction(3, 2), "t": Fraction(2, 5), "w": Fraction(7),
+           "d": Fraction(-1, 3), "k1": Fraction(-2), "k2": Fraction(5, 3),
+           "th1": Fraction(4, 7), "a1": Fraction(3), "a2": Fraction(-1, 2),
+           "a3": Fraction(5, 4), "g": Fraction(3), "n1": Fraction(2),
+           "n2": Fraction(-3, 5), "n3": Fraction(1, 3), "n4": Fraction(2, 5),
+           "n5": Fraction(-7, 4), "n6": Fraction(3, 2), "n7": Fraction(7, 2)}
+
+
+def _full_binding(catalog, family):
+    """Every parameter the derivation leaves free, on the constraint."""
+    if catalog == "murata":
+        names = ("q", "t", "w", "d", "k1", "k2") + lax._MURATA_EXTRA[family]
+        b = {n: _VALUES[n] for n in names if n != "th2"}
+        if family == "A4":
+            b["th2"] = -(b["k1"] * b["k2"] * b["a1"] * b["a2"] * b["a3"]
+                         / b["th1"])
+        return b
+    b = {n: v for n, v in _VALUES.items()
+         if n in ("q", "g", "d", "k1", "k2") or n.startswith("n")}
+    prod = b["q"]
+    for i in range(1, 8):
+        prod *= b["n%d" % i]
+    b["n8"] = (b["k1"] * b["k2"]) ** 2 / prod
+    return b
+
+
+def _partial_binding(catalog):
+    names = ("q", "t", "k1") if catalog == "murata" else ("q", "n4", "k1", "g")
+    return {n: _VALUES[n] for n in names}
+
+
+def _document(eq):
+    return json.dumps(write_equation(eq), indent=2) + "\n"
+
+
+def _bound_cases():
+    """Label -> thunk returning the derive document."""
+    cases = {}
+    for catalog, family in _ROWS:
+        for kind, b in (("partial", _partial_binding(catalog)),
+                        ("full", _full_binding(catalog, family))):
+            cases["%s %s %s" % (catalog, family, kind)] = (
+                lambda c=catalog, f=family, b=b: derive_equation(c, f, b))
+    for family in ("A5", "A6"):
+        def alt(family=family):
+            params = lax.MurataParams(family, _partial_binding("murata"))
+            relation = lax.scalar_reduce(lax.build_murata(params))
+            return lax.specialize(family, "alt", relation, params.binding)
+        cases["murata %s alt partial" % family] = alt
+    for catalog, family, name, value in (
+            ("murata", "A5", "t", 0), ("murata", "A5", "q", 1),
+            ("murata", "A6", "t", 0), ("murata", "A6", "q", 1),
+            ("kny", "D5", "n4", 0), ("kny", "E3a", "n4", 0)):
+        cases["%s %s %s=%s" % (catalog, family, name, value)] = (
+            lambda c=catalog, f=family, b={name: Fraction(value)}:
+            derive_equation(c, f, b))
+    return cases
+
+
+_BOUND_CASES = _bound_cases()
+
+_BOUND_PINS = {
+    "kny A1w full":
+        "ed88e9a14c48ac556498b0791cc57e7c356e2523ed704f4e43808113b2e950ed",
+    "kny A1w partial":
+        "8b1b3393d3fd62aa76a7fefb4d8014585f15522d0dcdecd09039f6007b165f7a",
+    "kny A1w8 full":
+        "2f7075b9e0cebe8f73d9be77091c29080b3132d519376723d72040c8015a4fe4",
+    "kny A1w8 partial":
+        "1b32c4f8f649adbad4714299c8ac8d2e5293964ed73b8d8a0b43f4692969e58a",
+    "kny A4w full":
+        "9e33342153fcadfded7093ef2df60484c8f57fa3f51e0ffa7932c5ba5044b1bf",
+    "kny A4w partial":
+        "64ac6ea0ada207767ae5ba0f00f9f7f9f18be630acba23fadb30d6c5e037ac9d",
+    "kny D5 full":
+        "5339f158a94a656810cf480e71e2b6ece8d153f38ed8bee0ee5e8cc01da44bf7",
+    "kny D5 n4=0":
+        "5bc1e3aa316726f6b4a1fc17ca1691ab612a69eb2c8ac8f6b69ae129685f9bdf",
+    "kny D5 partial":
+        "24ad285f928f802df5bdca73f472d1007935f7a7028322450586cfc6b485f367",
+    "kny E2a full":
+        "e8b9cca656e2dfe7634769d66df73f787f46c26c27834934ea89d3a0c64438a6",
+    "kny E2a partial":
+        "f97ee9c1e25969f1eb5651cad0296bbeb08efd680c987ac9f2c1ecbc3f8b48d9",
+    "kny E2b full":
+        "7b24302f8ea7427883dab23a4b7510db193f7761ed99bd69fcfd2f7d910c96cc",
+    "kny E2b partial":
+        "d1d959e53cc962f5dd14e21a8ec73d0c495638182d6ca6bbc88d916ac6e60bad",
+    "kny E3a full":
+        "463bb7588ec5d473d61e94a71faacb949e2a60cd0a426e50f76a2398c98c3018",
+    "kny E3a n4=0":
+        "600bfd0118c374123dec1bdc26b03dfae111c984734ac5fcd60be4e2bda395dd",
+    "kny E3a partial":
+        "3b77f11b00bd49d4f7d13ae64581c6198811a93d6323041b2acade10fd4296cc",
+    "kny E3b full":
+        "48557cc9338779be382277063bf18f142464c9ea4c8b38170bc16cc62cabba44",
+    "kny E3b partial":
+        "1aeb36d5ee80646d0d45eb2346adc357a16322c8be99f0a47ecbac632921a188",
+    "murata A4 full":
+        "35517488e8841bb48a30f814ed3a620f89155f047a3e42a75c2d2e8dcd61370c",
+    "murata A4 partial":
+        "22ede6343cf2fa2c9921365e6cf4afb88f3e0a4fb2eedd76ce9d1bae62eec562",
+    "murata A5 alt partial":
+        "45b5409c4c84cc14250ca75ccbdfbb4a6927087716a745b266a2363ee4dd7f05",
+    "murata A5 full":
+        "3f3ceb02b21a82e5f86504dc80c12250efdad44566c53f60ffa6c5510787a128",
+    "murata A5 partial":
+        "a3cd79a74d4299b9ca8d8ec0c03bfe1ea38eed24d4b946ecc80ddcf4f5654234",
+    "murata A5 q=1":
+        "bde528c9158c31e975aafa86d5ac7b501155879bbb6c54426038b394d6a52483",
+    "murata A5 t=0":
+        "b68e5b2a2582ee63e81551b8d849214cc8f32b2d676b3d01c103b495f5c61aa1",
+    "murata A5s full":
+        "511bef246ba8fca7a7479ea86faf8f75bc1c836d1a3fef7018edb49c2f365f4a",
+    "murata A5s partial":
+        "b52de6da8e9cf003cef89b5a5bfbef84742a1bc2b35f8bd811f951b97f17acb4",
+    "murata A6 alt partial":
+        "f4311e89bee4f23ba112ad5262dc96467175a57fc890e84a59ac65852cad3419",
+    "murata A6 full":
+        "63b0984efa870070ca1355d5717284bca8d3fdff6c841f258e3605f0666fc222",
+    "murata A6 partial":
+        "8cf092e2d0d8b22158652cbdfe013d876e0766ab73071bfcd924d2c5fc0ee1d5",
+    "murata A6 q=1":
+        "32e7076d9fc4866fd65ac58ba830061b043b431649899b85467e6ac026bd5f0e",
+    "murata A6 t=0":
+        "b68e5b2a2582ee63e81551b8d849214cc8f32b2d676b3d01c103b495f5c61aa1",
+    "murata A6s full":
+        "9ef9822f70ddda95e8b295f0ec4bb735fc57c927849757f37413de3801a21fcf",
+    "murata A6s partial":
+        "2cc887db6c236b4e6a28e7084a2e0ae8fc9a4fcf085c6a1ccc4fd41540dedf9a",
+    "murata A7 full":
+        "d1c08b8dcb8bc191f38d4cc386c1c29a7c5ec3ccd887d506cd29976e1d12d89c",
+    "murata A7 partial":
+        "38d2dd0121cc313783b5d3f0fb56137994a2eaca360de0d39e693e8d60a684da",
+    "murata A7p full":
+        "08615de45ef2fc87eaf2112077c81c7f8d395847047b978b9a383338ae8b7ea9",
+    "murata A7p partial":
+        "059406b8766829d59811bb1a653e21231070ba64420999e6f2cfe8faf0a52582",
+}
+
+
+def test_every_bound_case_is_pinned():
+    assert sorted(_BOUND_PINS) == sorted(_BOUND_CASES)
+
+
+@pytest.mark.parametrize("label", sorted(_BOUND_CASES))
+def test_bound_derivation_bytes(label):
+    text = _document(_BOUND_CASES[label]())
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert digest == _BOUND_PINS.get(label)

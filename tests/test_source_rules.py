@@ -36,3 +36,17 @@ def test_no_private_name_crosses_a_module(path):
             hits += [alias.name for alias in node.names
                      if alias.name.startswith("_")]
     assert not hits, "%s imports private names %s" % (path.name, hits)
+
+
+def test_lax_searches_for_no_common_factor():
+    # lax cancels the factors each construction names, by exact division;
+    # the Euclidean gcd, and the lcm built on it, stay off that path
+    tree = _tree(Path(qheun.__file__).parent / "lax.py")
+    hits = [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in ("gcd", "lcm")
+            and isinstance(node.value, ast.Name) and node.value.id == "xpoly"]
+    hits += [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom)
+             and (node.module or "").endswith("xpoly")
+             and {a.name for a in node.names} & {"gcd", "lcm"}]
+    assert not hits, "lax.py uses xpoly.gcd/lcm on line(s) %s" % hits

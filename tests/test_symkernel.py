@@ -1,11 +1,13 @@
 """Kernel tests: exact polynomial/rational arithmetic, limits, parser."""
 
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qheun.symkernel import (MAX_NESTING, MAX_TERMS, DivergesAtZero, MPoly,
+from qheun.symkernel import (MAX_BITS, MAX_NESTING, MAX_TERMS,
+                             DivergesAtZero, MPoly,
                              ParseError, RatFun,
                              UnknownParameter, as_ratfun, limit_at_zero,
                              parse_expr, poly_arith, rat, ratfun_eq,
@@ -291,6 +293,56 @@ def test_power_has_a_term_budget():
                 "(1/(q + t + 1))^100", "(q + 1)^" + "9" * 400):
         with pytest.raises(ParseError, match="power"):
             P(bad)
+
+
+def test_power_has_a_bit_budget():
+    # the coefficients of (7/11)^k have k*ceil(log2 11) = 4k bits at most;
+    # a coefficient +-1 costs nothing, so q^100000 stays within the budget
+    k = MAX_BITS // 4
+    assert P("(7/11)^%d" % k) == rat(Fraction(7, 11) ** k)
+    assert P("(2*q)^%d" % MAX_BITS) == rat(2 ** MAX_BITS) * sym("q") ** MAX_BITS
+    big = "9" * 2000                    # 6644 bits
+    assert len(P("(q + %s)^9" % big).num.terms) == 10
+    for bad in ("(7/11)^%d" % (k + 1), "(7/11)^1000000",
+                "(2*q)^%d" % (MAX_BITS + 1), "(q + %s)^10" % big):
+        with pytest.raises(ParseError, match="bits"):
+            P(bad)
+
+
+@pytest.fixture
+def default_digit_cap():
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(saved)
+
+
+def test_integers_past_the_digit_cap_raise_parse_error(default_digit_cap):
+    # outside the CLI, Python refuses int() of more than 4300 digits; the
+    # parser says so as a ParseError instead of a bare ValueError
+    assert P("1" * 4300) == rat(int("1" * 4300))
+    for bad in ("q^" + "9" * 5000, "1" * 4301, "2*q + " + "7" * 5000):
+        with pytest.raises(ParseError, match="4300 digits"):
+            P(bad)
+    sys.set_int_max_str_digits(0)
+    assert P("1" * 5000) == rat(int("1" * 5000))
+
+
+def test_only_decimal_digits_are_read_as_integers():
+    # str.isdigit accepts superscripts, which int() refuses
+    for bad in ("2\u00b2", "q^\u00b2"):
+        with pytest.raises(ParseError):
+            P(bad)
+
+
+def test_unknown_parameter_quotes_a_bounded_name():
+    with pytest.raises(UnknownParameter) as info:
+        parse_expr("q + " + "z" * 10000, ["q"])
+    assert len(str(info.value)) < 200
+    assert str(info.value) == "unknown parameter %r at offset 4" % (
+        "z" * 40 + "…")
+    with pytest.raises(UnknownParameter, match="'zeta' at offset 2"):
+        parse_expr("1+zeta", ["q"])
 
 
 @settings(max_examples=60, deadline=None)
