@@ -46,12 +46,13 @@ def gauge_power(eq: QDiffEq, lam) -> QDiffEq:
     unknown: writing the old unknown as x^lam times the new one yields
     exactly this equation for the new unknown.
     """
-    s = _q_power(lam)
-    return QDiffEq(
-        xpoly.scale(eq.P, s),
-        eq.Z,
-        xpoly.scale(eq.M, as_ratfun(1) / s),
-        eq.variable)
+    return _scale_ends(eq, _q_power(lam))
+
+
+def _scale_ends(eq, s):
+    """P times s and M over s."""
+    return QDiffEq(xpoly.scale(eq.P, s), eq.Z,
+                   xpoly.scale(eq.M, as_ratfun(1) / s), eq.variable)
 
 
 def _move_divisors(kind, alpha, variable):
@@ -212,12 +213,7 @@ def apply_record(rec: GaugeRecord, eq: QDiffEq) -> QDiffEq:
     if kind == "Power":
         (lam,) = rec.payload
         if rec.inverted:
-            s = _q_power(lam)
-            return QDiffEq(
-                xpoly.scale(eq.P, as_ratfun(1) / s),
-                eq.Z,
-                xpoly.scale(eq.M, s),
-                eq.variable)
+            return _scale_ends(eq, as_ratfun(1) / _q_power(lam))
         return gauge_power(eq, lam)
     if kind == "MoveFactor":
         fkind, alpha = rec.payload

@@ -6,13 +6,14 @@ component of Y leaves a three-term relation for the first, and a
 parameter restriction followed by an exponential-factor strip turns the
 relation into a polynomial-coefficient equation.  The second ("kny")
 holds first-order operator pencils in the shift z -> qz together with an
-auxiliary scalar g; freezing the pencil's extra variable at its catalog
-value and clearing denominators again leaves a three-term equation.
+auxiliary scalar g; freezing the pencil's extra variable f at its catalog
+value n4 and clearing denominators again leaves a three-term equation.
 
-No factor is searched for: each derivation cancels only the factors its
-construction put in a denominator (the root l of a12(x) and the prediv
-m0(q^2 x) for murata, z - q*n4 in the kny "g-" term), dividing exactly.
-Each parameter constraint is stated once, in ``_CONSTRAINTS``.
+No factor is searched for: ``_cancel`` divides out, exactly, only the
+factors each construction put in a denominator (the root l of a12(x) and
+the prediv m0(q^2 x) for murata; z - q*n4 in the kny "g-" term and the
+frozen f - z, z - n4, in the kny sums).  Each parameter constraint is
+stated once, in ``_CONSTRAINTS``.
 
 For every family the recorded summary row is stored as transcribed,
 except for four slips in the kny rows that are corrected in place; each
@@ -34,7 +35,7 @@ class InvariantViolation(ValueError):
 
 
 class SubstitutionSingular(ValueError):
-    """Freezing the pencil variable made a denominator vanish identically."""
+    """A binding or the frozen pencil made a denominator vanish identically."""
 
 
 MURATA_FAMILIES = ("A4", "A5", "A5s", "A6", "A6s", "A7", "A7p")
@@ -98,20 +99,25 @@ def _checked_binding(family, binding, allowed):
 
 def _surface(family, binding):
     """The family's constraint solved for the first of its names the
-    binding leaves free, as a bound one-entry substitution, or {}."""
+    binding leaves free, as a bound one-entry substitution, or {};
+    SubstitutionSingular when the binding zeroes that name's coefficient."""
     expr, names = _CONSTRAINTS.get(family, (None, ()))
     for name in names:
         if name not in binding:
             (c0, c1), _ = xpoly.from_ratfun(expr, name)
-            return {name: _bind(-c0 / c1, binding)}
+            try:
+                return {name: _bind(-c0 / c1, binding)}
+            except ZeroDivisionError:
+                raise SubstitutionSingular("%s binding zeroes the coefficient "
+                                           "of %s" % (family, name)) from None
     return {}
 
 
 class MurataParams:
     """Parameter set for a matrix-pencil family, optionally bound.
 
-    ``binding`` maps parameter names to exact values.  The A4 constraint
-    in ``_CONSTRAINTS`` is checked once every symbol in it is bound.
+    ``binding`` maps names to exact values; q = 0 and w = 0 are refused.
+    The A4 constraint in ``_CONSTRAINTS`` is checked once all of it is bound.
     """
 
     __slots__ = ("family", "binding")
@@ -122,8 +128,8 @@ class MurataParams:
         self.family = family
         self.binding = _checked_binding(
             family, binding, _MURATA_SHARED + _MURATA_EXTRA[family])
-        if "w" in self.binding and self.binding["w"].is_zero:
-            raise InvariantViolation("off-diagonal scale w must not vanish")
+        if any(self.binding.get(name, 1) == 0 for name in ("q", "w")):
+            raise InvariantViolation("base q and scale w must be nonzero")
 
 
 class LaxMatrix:
@@ -145,12 +151,6 @@ class LaxMatrix:
 
     def det(self):
         return self.a11 * self.a22 - self.a12 * self.a21
-
-    def at_origin(self):
-        """Entries evaluated at x = 0, as a 4-tuple."""
-        zero = {"x": rat(0)}
-        return (self.a11.substitute(zero), self.a12.substitute(zero),
-                self.a21.substitute(zero), self.a22.substitute(zero))
 
 
 _MURATA_DET = {
@@ -247,13 +247,13 @@ def build_murata(params):
     if not _eq_on_surface(det, stated, surface):
         raise InvariantViolation("%s determinant differs from its recorded "
                                  "factorisation" % family)
-    a11, _, _, a22 = mat.at_origin()
+    origin = {"x": rat(0)}
+    a11, a22 = (a.substitute(origin) for a in (mat.a11, mat.a22))
     eig1, eig2 = (_bind(_mu(e), binding) for e in _MURATA_EIGS[family])
     if not _eq_on_surface(a11 + a22, eig1 + eig2, surface):
         raise InvariantViolation("%s trace at the origin differs from the "
                                  "eigenvalue sum" % family)
-    if not _eq_on_surface(det.substitute({"x": rat(0)}), eig1 * eig2,
-                          surface):
+    if not _eq_on_surface(det.substitute(origin), eig1 * eig2, surface):
         raise InvariantViolation("%s determinant at the origin differs from "
                                  "the eigenvalue product" % family)
     return mat
@@ -278,8 +278,8 @@ def scalar_reduce(mat):
 
 
 def _cancel(r, factors, variable):
-    """r with the named factors (polynomials in ``variable``) divided
-    exactly out of its numerator and denominator.
+    """r as a polynomial in ``variable`` (a coefficient list), after the
+    named factors are divided exactly out of its numerator and denominator.
 
     A factor the denominator no longer holds (RatFun's own cancellation
     took it) is skipped.  InvariantViolation when the numerator lacks a
@@ -298,7 +298,7 @@ def _cancel(r, factors, variable):
         num, den = num_q, den_q
     if xpoly.degree(den) > 0:
         raise InvariantViolation("a denominator in %s is left" % variable)
-    return xpoly.eval_at(num, sym(variable)) / den[0]
+    return xpoly.scale(num, as_ratfun(1) / den[0])
 
 
 def _strip_factor(eq, p, q):
@@ -389,8 +389,7 @@ def specialize(family, variant, relation, binding=None):
         mid = mid * (m1 / m2)
         low = low * (m0 / m2)
         factors += (m2,)
-    eq = QDiffEq.from_scalar_coefficients(
-        *(_cancel(c, factors, "x") for c in (up, mid, low)), "x")
+    eq = QDiffEq(*(_cancel(c, factors, "x") for c in (up, mid, low)), "x")
     if "strip" in recipe:
         eq = _strip_factor(eq, _bind(_mu(recipe["strip"]), binding), qv)
     return eq
@@ -494,18 +493,16 @@ def build_kny(params):
         if action == "1":
             c_zero = c_zero + c
         elif action == "g-":
-            c = _cancel(c, (_kn("z - q*n4"),), "z")
+            c = xpoly.eval_at(_cancel(c, (_kn("z - q*n4"),), "z"), sym("z"))
             c_zero = c_zero + c * g
             c_minus = c_minus - c
-        elif action == "+g":
+        else:
+            if action == "-g":
+                c = -c
             c_plus = c_plus + c
             c_zero = c_zero - c / g
-        else:
-            c_plus = c_plus - c
-            c_zero = c_zero + c / g
     try:
-        coeffs = tuple(_bind(c, binding)
-                       for c in (c_plus, c_zero, c_minus))
+        coeffs = tuple(_bind(c, binding) for c in (c_plus, c_zero, c_minus))
     except ZeroDivisionError:
         raise SubstitutionSingular(
             "binding annihilates a denominator in %s" % family)
@@ -515,13 +512,19 @@ def build_kny(params):
 def kny_to_equation(op, apply_gauge=False):
     """Clear denominators of the pencil into a three-term equation.
 
+    The one denominator in z is z - n4, the frozen f - z of the "+g" and
+    "-g" terms; while some coefficient holds it, it is cleared from all.
+
     For the families whose summary row records a gauged form (E3a, E2a,
     A1w8), ``apply_gauge`` additionally strips the factor u with
     u(qz) = p(z) u(z), p(z) = q z - n4, which turns (P, Z, M) into
     (P*p(z), Z, M/p(z/q)); for other families the flag has no effect.
     """
-    eq = QDiffEq.from_scalar_coefficients(op.c_plus, op.c_zero, op.c_minus,
-                                          "z")
+    sides, factors = (op.c_plus, op.c_zero, op.c_minus), ()
+    if any("z" in c.den.vars for c in sides):
+        factors = (_bind(_kn("z - n4"), op.binding),)
+        sides = tuple(c * factors[0] for c in sides)
+    eq = QDiffEq(*(_cancel(c, factors, "z") for c in sides), "z")
     if apply_gauge and op.family in KNY_GAUGED:
         eq = _strip_factor(eq, _bind(_kn("q*z - n4"), op.binding),
                            op.binding.get("q", sym("q")))
@@ -644,8 +647,8 @@ def _catalog_tables(catalog, family):
 def reference_equation(catalog, family):
     """The recorded summary row as an equation, with d and g left free."""
     row, _, parse, variable = _catalog_tables(catalog, family)
-    p, zc, mc = (parse(text) for text in row)
-    return QDiffEq.from_scalar_coefficients(p, zc, mc, variable)
+    return QDiffEq(*(_cancel(parse(text), (), variable) for text in row),
+                   variable)
 
 
 def accessory_formula(catalog, family):
@@ -655,7 +658,14 @@ def accessory_formula(catalog, family):
 
 
 def derive_equation(catalog, family, binding=None):
-    """Replay the full derivation of a family's summary-row equation."""
+    """Replay the full derivation of a family's summary-row equation.
+
+    Raises ValueError (unknown names), InvariantViolation (a broken
+    constraint or identity), SubstitutionSingular (a kny or A4 binding
+    that zeroes a denominator) and DivergesAtZero (a missing limit); a
+    murata binding that zeroes a pencil or recipe denominator (a1 = 0 in
+    A5, t = 0 in A7) still raises ZeroDivisionError.
+    """
     if catalog == "murata":
         params = MurataParams(family, binding)
         relation = scalar_reduce(build_murata(params))
@@ -677,45 +687,46 @@ def verify_family(catalog, family, binding=None):
     both sides.  Every slot is then compared exactly; the degree-one
     slot of the non-shifted coefficient may also match with its sign
     flipped.  Returns a report dict with keys "catalog", "family",
-    "match", "accessoryMap" and "discrepancies".
+    "match", "accessoryMap" and "discrepancies".  Raises as
+    derive_equation does, and SubstitutionSingular when the binding
+    zeroes a denominator of the constraint, the row or its closed form.
     """
     binding = {name: as_ratfun(value)
                for name, value in (binding or {}).items()}
     derived = derive_equation(catalog, family, binding)
     reference = reference_equation(catalog, family)
     formula = accessory_formula(catalog, family)
-    subst = dict(binding)
-    if formula is not None:
-        subst["d"] = _bind(formula, binding)
     surface = _surface(family, binding)
-
-    def restrict(r, extra=None):
-        return _bind(_bind(as_ratfun(r), extra), surface)
-
+    subst = dict(binding)
     top = max(reference.degree, derived.degree)
+    try:
+        if formula is not None:
+            subst["d"] = _bind(formula, binding)
+        refs, ders = ({(side, k): _bind(_bind(eq.coeff(side, k), extra),
+                                        surface)
+                       for side in ("P", "Z", "M") for k in range(top + 1)}
+                      for eq, extra in ((reference, subst), (derived, None)))
+    except ZeroDivisionError:
+        raise SubstitutionSingular("%s binding zeroes a denominator of the "
+                                   "row or its closed form" % family) from None
     lead = next((k for k in range(top, -1, -1)
                  if not reference.coeff("P", k).is_zero), 0)
-    ref_lead = restrict(reference.coeff("P", lead), subst)
-    der_lead = restrict(derived.coeff("P", lead))
-    scale = ref_lead / der_lead if not der_lead.is_zero else rat(1)
+    der_lead = ders["P", lead]
+    scale = refs["P", lead] / der_lead if not der_lead.is_zero else rat(1)
 
-    match = True
-    accessory_map = None
-    discrepancies = []
-    for side in ("P", "Z", "M"):
-        for degree in range(top + 1):
-            der = restrict(derived.coeff(side, degree)) * scale
-            ref = restrict(reference.coeff(side, degree), subst)
-            if side == "Z" and degree == 1:
-                accessory_map = ("asPrinted" if ratfun_eq(der, ref) else
-                                 "flipped" if ratfun_eq(der, -ref) else
-                                 "unresolved")
-                if accessory_map != "unresolved":
-                    continue
-            elif ratfun_eq(der, ref):
+    match, accessory_map, discrepancies = True, None, []
+    for (side, degree), ref in refs.items():
+        der = ders[side, degree] * scale
+        if side == "Z" and degree == 1:
+            accessory_map = ("asPrinted" if ratfun_eq(der, ref) else
+                             "flipped" if ratfun_eq(der, -ref) else
+                             "unresolved")
+            if accessory_map != "unresolved":
                 continue
-            match = False
-            discrepancies.append({"side": side, "degree": degree,
-                                  "derived": str(der), "reference": str(ref)})
+        elif ratfun_eq(der, ref):
+            continue
+        match = False
+        discrepancies.append({"side": side, "degree": degree,
+                              "derived": str(der), "reference": str(ref)})
     return {"catalog": catalog, "family": family, "match": match,
             "accessoryMap": accessory_map, "discrepancies": discrepancies}

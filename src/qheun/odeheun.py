@@ -293,9 +293,6 @@ def _key(v):
 
 def _match_he(ode):
     s, f, q = ode.padded(3)
-    if q[0] != 0:
-        return NoMatch("a constant term survives in the undifferentiated "
-                       "row; split off an origin power first")
     roots = quad_roots(s[2], s[1], s[0])
     if len(roots) != 2 or roots[0] == roots[1]:
         return NoMatch("the finite branch points coincide")
@@ -325,9 +322,6 @@ def _match_he(ode):
 
 def _match_che(ode):
     s, f, q = ode.padded(3)
-    if q[0] != 0:
-        return NoMatch("a constant term survives in the undifferentiated "
-                       "row; split off an origin power first")
     sigma = -s[0] / s[1]
     n = -s[0]
     beta = -(f[2] * sigma * sigma / n)
@@ -343,9 +337,6 @@ def _match_che(ode):
 
 def _match_bhe(ode):
     s, f, q = ode.padded(3)
-    if q[0] != 0:
-        return NoMatch("a constant term survives in the undifferentiated "
-                       "row; split off an origin power first")
     if f[2] == 0:
         return NoMatch("no quadratic term in the first-derivative row; "
                        "the infinity structure is too degenerate")
@@ -366,9 +357,6 @@ def _match_bhe(ode):
 
 def _match_dhe(ode):
     s, f, q = ode.padded(3)
-    if q[0] != 0:
-        return NoMatch("a constant term survives in the undifferentiated "
-                       "row; split off an origin power first")
     if f[2] == 0:
         return NoMatch("no quadratic term in the first-derivative row; "
                        "the infinity structure is too degenerate")
@@ -438,6 +426,10 @@ def match_class(ode: HeunODE):
     if matcher is None:
         return NoMatch(_REFUSED.get(
             ode.class_, "unrecognized operator class %r" % (ode.class_,)))
+    # every class but THE reads its display off rows with Q(0) = 0
+    if matcher is not _match_the and ode.coefficient("zeroth", 0) != 0:
+        return NoMatch("a constant term survives in the undifferentiated "
+                       "row; split off an origin power first")
     try:
         return matcher(ode)
     except (ZeroDivisionError, ConstraintViolation, ValueError) as exc:

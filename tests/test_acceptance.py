@@ -69,7 +69,8 @@ def test_criterion_01_pencil_invariants():
         det = mat.det().substitute(surface)
         assert ratfun_eq(det, P(_DET_PRODUCT[family]).substitute(surface)), \
             family
-        a11, _, _, a22 = mat.at_origin()
+        a11, a22 = (a.substitute({"x": rat(0)})
+                    for a in (mat.a11, mat.a22))
         top = P("th1*t")
         bottom = P("th2*t") if family == "A4" else rat(0)
         assert ratfun_eq((a11 + a22).substitute(surface),

@@ -74,7 +74,7 @@ def test_pencil_structural_identities(family):
     surface = {"th2": P("-k1*k2*a1*a2*a3/th1")} if family == "A4" else {}
     stated = P(_DET[family])
     assert ratfun_eq(det.substitute(surface), stated.substitute(surface))
-    a11, _, _, a22 = mat.at_origin()
+    a11, a22 = (a.substitute({"x": rat(0)}) for a in (mat.a11, mat.a22))
     eigs = (P("th1*t"), P("th2*t")) if family == "A4" else (P("th1*t"), rat(0))
     assert ratfun_eq((a11 + a22).substitute(surface),
                      (eigs[0] + eigs[1]).substitute(surface))
@@ -91,6 +91,13 @@ def test_a4_binding_must_satisfy_eigenvalue_product():
 def test_degenerate_offdiagonal_scale_rejected():
     with pytest.raises(InvariantViolation):
         MurataParams("A5", {"w": 0})
+
+
+@pytest.mark.parametrize("family", ("A4", "A6"))
+def test_zero_shift_base_rejected(family):
+    # q = 0 is no shift; the pencil entries divide by q
+    with pytest.raises(InvariantViolation, match="base q"):
+        derive_equation("murata", family, {"q": 0})
 
 
 def test_unknown_parameter_rejected():
@@ -328,6 +335,21 @@ def test_binding_that_kills_a_denominator():
         build_kny(KNYParams("A4w", {"n7": 0}))
 
 
+@pytest.mark.parametrize("catalog, family, binding", [
+    # n4 = 0 zeroes q*n1*...*n7, the coefficient the constraint is solved
+    # with; for E3a n4 also divides the accessory closed form
+    ("kny", "D5", {"n4": 0}),
+    ("kny", "E3a", {"n4": 0}),
+    # th1 = 0 zeroes the coefficient of th2 in the A4 constraint
+    ("murata", "A4", {"th1": 0}),
+    # on the surface n8 = k1^2*k2^2/(...) = 0, which divides the row
+    ("kny", "E2b", {"k2": 0}),
+])
+def test_verify_binding_that_kills_a_denominator(catalog, family, binding):
+    with pytest.raises(SubstitutionSingular):
+        verify_family(catalog, family, binding)
+
+
 @pytest.mark.parametrize("family", KNY_FAMILIES)
 def test_cleared_equation_proportional_to_pencil(family):
     rng = random.Random(97531 + KNY_FAMILIES.index(family))
@@ -355,6 +377,29 @@ def test_cleared_equation_proportional_to_pencil(family):
             if checked == 2:
                 break
         assert checked == 2
+
+
+@pytest.mark.parametrize("family", KNY_FAMILIES)
+def test_named_clearing_equals_the_lcm(family):
+    # clearing the named z - n4 gives what clearing by the lcm of every
+    # denominator gives, symbolically, at n4 = 0 (where RatFun's own
+    # cancellation may already have taken z) and at full bindings
+    rng = random.Random(86420 + KNY_FAMILIES.index(family))
+    for b in [{}, {"n4": 0}] + [_kny_binding(rng) for _ in range(3)]:
+        op = build_kny(KNYParams(family, b))
+        expected = QDiffEq.from_scalar_coefficients(
+            op.c_plus, op.c_zero, op.c_minus, "z")
+        assert equations_equal(kny_to_equation(op), expected), b
+
+
+@pytest.mark.parametrize("binding", ({"n4": 0}, {"n4": 0, "q": 2}),
+                         ids=("n4", "n4-q"))
+@pytest.mark.parametrize("family", ("E2a", "A1w8"))
+def test_gauged_rows_at_n4_zero_are_refused(family, binding):
+    # no coefficient keeps a denominator in z at n4 = 0, so nothing is
+    # cleared, and p(z/q) = z does not divide M
+    with pytest.raises(InvariantViolation):
+        derive_equation("kny", family, binding)
 
 
 def test_gauged_row_depends_on_flag():
@@ -572,6 +617,16 @@ def test_derived_support_and_label(catalog, family):
     label = classify(eq)
     assert (label.class_, label.variant_form,
             label.reduction) == _LABELS[(catalog, family)]
+
+
+@pytest.mark.parametrize("catalog, family",
+                         [("murata", f) for f in MURATA_FAMILIES]
+                         + [("kny", f) for f in KNY_FAMILIES])
+def test_reference_equation_equals_the_lcm(catalog, family):
+    row, _, parse, variable = lax._catalog_tables(catalog, family)
+    expected = QDiffEq.from_scalar_coefficients(
+        *(parse(text) for text in row), variable)
+    assert equations_equal(reference_equation(catalog, family), expected)
 
 
 def test_unknown_catalog_and_family():

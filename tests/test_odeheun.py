@@ -238,6 +238,15 @@ def test_match_preset_limits():
             ode.second, ode.first, ode.zeroth)
 
 
+@pytest.mark.parametrize("class_", ("HE", "CHE", "BHE", "DHE"))
+def test_match_origin_constant_is_an_obstruction(class_):
+    out = match_class(HeunODE((1, 1), (1, 1, 1), (1, 1, 1), class_=class_))
+    assert isinstance(out, NoMatch)
+    assert out.obstruction == ("a constant term survives in the "
+                               "undifferentiated row; split off an origin "
+                               "power first")
+
+
 def test_match_reduced_dhe_is_an_obstruction():
     ode = HeunODE((0, 1), (0, 0, -1), (0, 1))
     out = match_class(ode)

@@ -210,7 +210,8 @@ def test_stdout_bytes(label):
 # The derive document of each row at two fixed rational bindings, of the
 # A5/A6 "alt" routes at one binding, and of the degenerate bindings where
 # a factor the derivation cancels has already fallen away (murata A5/A6
-# at t = 0 or q = 1, kny D5/E3a at n4 = 0).
+# at t = 0 or q = 1, kny D5/E3a at n4 = 0, and kny A1w at n4 = 0, where
+# z - n4 is no longer in any denominator and must not be divided out).
 
 _VALUES = {"q": Fraction(3, 2), "t": Fraction(2, 5), "w": Fraction(7),
            "d": Fraction(-1, 3), "k1": Fraction(-2), "k2": Fraction(5, 3),
@@ -261,13 +262,14 @@ def _bound_cases():
             relation = lax.scalar_reduce(lax.build_murata(params))
             return lax.specialize(family, "alt", relation, params.binding)
         cases["murata %s alt partial" % family] = alt
-    for catalog, family, name, value in (
-            ("murata", "A5", "t", 0), ("murata", "A5", "q", 1),
-            ("murata", "A6", "t", 0), ("murata", "A6", "q", 1),
-            ("kny", "D5", "n4", 0), ("kny", "E3a", "n4", 0)):
-        cases["%s %s %s=%s" % (catalog, family, name, value)] = (
-            lambda c=catalog, f=family, b={name: Fraction(value)}:
-            derive_equation(c, f, b))
+    for catalog, family, b in (
+            ("murata", "A5", {"t": 0}), ("murata", "A5", {"q": 1}),
+            ("murata", "A6", {"t": 0}), ("murata", "A6", {"q": 1}),
+            ("kny", "D5", {"n4": 0}), ("kny", "E3a", {"n4": 0}),
+            ("kny", "A1w", {"n1": Fraction(2, 3), "n3": -2, "n4": 0})):
+        label = ",".join("%s=%s" % item for item in b.items())
+        cases["%s %s %s" % (catalog, family, label)] = (
+            lambda c=catalog, f=family, b=b: derive_equation(c, f, b))
     return cases
 
 
@@ -276,6 +278,8 @@ _BOUND_CASES = _bound_cases()
 _BOUND_PINS = {
     "kny A1w full":
         "ed88e9a14c48ac556498b0791cc57e7c356e2523ed704f4e43808113b2e950ed",
+    "kny A1w n1=2/3,n3=-2,n4=0":
+        "1c4536350026dd998a40d4e1a18aecd34f4a02385e058aeedb0670e4bfb86c3b",
     "kny A1w partial":
         "8b1b3393d3fd62aa76a7fefb4d8014585f15522d0dcdecd09039f6007b165f7a",
     "kny A1w8 full":

@@ -40,13 +40,18 @@ def test_no_private_name_crosses_a_module(path):
 
 def test_lax_searches_for_no_common_factor():
     # lax cancels the factors each construction names, by exact division;
-    # the Euclidean gcd, and the lcm built on it, stay off that path
+    # the Euclidean gcd, the lcm built on it, and the lcm clearing of
+    # QDiffEq.from_scalar_coefficients stay off that path
     tree = _tree(Path(qheun.__file__).parent / "lax.py")
     hits = [node.lineno for node in ast.walk(tree)
             if isinstance(node, ast.Attribute) and node.attr in ("gcd", "lcm")
             and isinstance(node.value, ast.Name) and node.value.id == "xpoly"]
     hits += [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)
+             and node.attr == "from_scalar_coefficients"]
+    hits += [node.lineno for node in ast.walk(tree)
              if isinstance(node, ast.ImportFrom)
              and (node.module or "").endswith("xpoly")
              and {a.name for a in node.names} & {"gcd", "lcm"}]
-    assert not hits, "lax.py uses xpoly.gcd/lcm on line(s) %s" % hits
+    assert not hits, ("lax.py clears denominators by an lcm on line(s) %s"
+                      % hits)
