@@ -22,7 +22,19 @@ the derivation and compares it against the row slot by slot.  The
 degree-one slot of the non-shifted coefficient (the accessory slot) is
 granted sign latitude; every other slot must agree exactly after the
 row's leading-coefficient normalisation.
+
+What depends only on a table text or on one family is built once, on
+first use, and shared by every later call: each constant text's parse
+(``_mu``/``_kn``), each family's symbolic pencil (``_murata_pencil``,
+``_kny_pencil``) and each recorded row (``reference_equation``).  The
+values are immutable MPoly, RatFun and QDiffEq objects, and binding
+one builds new values and leaves the shared one as it was, so no call's
+binding can leak into another.  Nothing is built at import beyond the
+constraints, and the binding-dependent steps (the structural checks,
+the elimination, the specialization and the comparison) run every call.
 """
+
+import functools
 
 from .symkernel import (as_ratfun, limit_at_zero, parse_expr, rat,
                         ratfun_eq, sym)
@@ -60,10 +72,12 @@ _KNY_UNIVERSE = ("z", "f", "q", "g", "d", "k1", "k2",
                  "n1", "n2", "n3", "n4", "n5", "n6", "n7", "n8")
 
 
+@functools.cache
 def _mu(text):
     return parse_expr(text, _MURATA_UNIVERSE)
 
 
+@functools.cache
 def _kn(text):
     return parse_expr(text, _KNY_UNIVERSE)
 
@@ -198,9 +212,10 @@ _GAMMA_SHIFT = {
 }
 
 
-def _murata_entries(family, binding):
-    q, l, m, k1, k2, w, x = (sym(n) for n in ("q", "l", "m", "k1", "k2",
-                                              "w", "x"))
+@functools.cache
+def _murata_pencil(family):
+    """The symbolic entries (a11, a12, a21, a22) of one family's pencil."""
+    l, k1, k2, w, x = (sym(n) for n in ("l", "k1", "k2", "w", "x"))
     mu1 = _mu(_MU1[family])
     mu2 = _mu(_MU2[family])
     theta = _mu("(th1 + th2)*t" if family == "A4" else "th1*t")
@@ -221,8 +236,22 @@ def _murata_entries(family, binding):
     a11 = k1 * ((x - l) * (x - alpha) + mu1)
     a12 = w * (x - l)
     a21 = (k1 / w) * (gamma * x + delta)
-    entries = (a11, a12, a21, a22)
-    return tuple(_bind(e, binding) for e in entries)
+    return a11, a12, a21, a22
+
+
+def _murata_entries(family, binding):
+    """The pencil entries under ``binding``; SubstitutionSingular when it
+    zeroes one of their denominators (l = 0 or m = 0).
+
+    The symbolic entries depend on the family alone, so they are built
+    once, on first use, and shared: RatFun values are immutable, so
+    binding them leaves the shared entries as they were.
+    """
+    try:
+        return tuple(_bind(e, binding) for e in _murata_pencil(family))
+    except ZeroDivisionError:
+        raise SubstitutionSingular("%s binding zeroes a denominator of the "
+                                   "pencil" % family) from None
 
 
 def _eq_on_surface(a, b, subst):
@@ -357,7 +386,9 @@ def specialize(family, variant, relation, binding=None):
     limit l -> 0 ("alt"); not every family admits both.  ``binding``
     must repeat the binding the relation was built with, less what the
     recipe fixes (ValueError), so that the recipe's own expressions are
-    restricted consistently.  Limits that do not exist raise DivergesAtZero.
+    restricted consistently.  Limits that do not exist raise DivergesAtZero;
+    a binding that zeroes a denominator of the set value or of the relation
+    at it (t = 0 in A7, a1 = 0 in A5) raises SubstitutionSingular.
 
     Unless the recipe takes a limit, mid and low lose the factor x - l
     that the ratio a12(qx)/a12(x) of scalar_reduce put in their
@@ -375,8 +406,12 @@ def specialize(family, variant, relation, binding=None):
     if fixed:
         raise ValueError("the %s %s recipe fixes %s; it cannot be bound"
                          % (family, variant, min(fixed)))
-    value = _bind(_mu(text), binding)
-    relation = relation.substitute({name: value})
+    try:
+        value = _bind(_mu(text), binding)
+        relation = relation.substitute({name: value})
+    except ZeroDivisionError:
+        raise SubstitutionSingular("%s binding zeroes a denominator at %s = %s"
+                                   % (family, name, text)) from None
     up, mid, low = relation.up, relation.mid, relation.low
     x = sym("x")
     factors = () if recipe.get("limit") else (x - value,)
@@ -472,15 +507,9 @@ _KNY_TERMS = {
 }
 
 
-def build_kny(params):
-    """Assemble the pencil coefficients with the extra variable frozen.
-
-    The pencil's free variable f is replaced by n4, its fixed point in
-    the catalog; a denominator vanishing identically under that
-    substitution raises SubstitutionSingular.  The factor z - q*n4 that
-    freezing puts in both parts of the "g-" term is cancelled there.
-    """
-    family, binding = params.family, params.binding
+@functools.cache
+def _kny_pencil(family):
+    """The frozen symbolic (c_plus, c_zero, c_minus) of one family."""
     g = sym("g")
     freeze = {"f": sym("n4")}
     c_plus = c_zero = c_minus = rat(0)
@@ -501,8 +530,25 @@ def build_kny(params):
                 c = -c
             c_plus = c_plus + c
             c_zero = c_zero - c / g
+    return c_plus, c_zero, c_minus
+
+
+def build_kny(params):
+    """Assemble the pencil coefficients with the extra variable frozen.
+
+    The pencil's free variable f is replaced by n4, its fixed point in
+    the catalog; a denominator vanishing identically under that
+    substitution raises SubstitutionSingular, as does a binding that
+    zeroes a denominator of the frozen pencil.  The factor z - q*n4 that
+    freezing puts in both parts of the "g-" term is cancelled there.
+
+    The frozen symbolic pencil depends on the family alone, so it is
+    built once, on first use, and shared: RatFun values are immutable,
+    so binding them leaves the shared pencil as it was.
+    """
+    family, binding = params.family, params.binding
     try:
-        coeffs = tuple(_bind(c, binding) for c in (c_plus, c_zero, c_minus))
+        coeffs = tuple(_bind(c, binding) for c in _kny_pencil(family))
     except ZeroDivisionError:
         raise SubstitutionSingular(
             "binding annihilates a denominator in %s" % family)
@@ -644,15 +690,25 @@ def _catalog_tables(catalog, family):
     return rows[family], formulas[family], parse, variable
 
 
+@functools.cache
 def reference_equation(catalog, family):
-    """The recorded summary row as an equation, with d and g left free."""
+    """The recorded summary row as an equation, with d and g left free.
+
+    The row depends on (catalog, family) alone, so it is built once, on
+    first use, and every caller shares it: QDiffEq is immutable.
+    """
     row, _, parse, variable = _catalog_tables(catalog, family)
     return QDiffEq(*(_cancel(parse(text), (), variable) for text in row),
                    variable)
 
 
 def accessory_formula(catalog, family):
-    """Recorded closed form of the accessory parameter, or None."""
+    """Recorded closed form of the accessory parameter, or None.
+
+    The form is the shared parse of its table text (``_mu``/``_kn`` parse
+    each text once), so every caller of one family gets the same
+    immutable RatFun.
+    """
     _, text, parse, _ = _catalog_tables(catalog, family)
     return None if text is None else parse(text)
 
@@ -661,10 +717,11 @@ def derive_equation(catalog, family, binding=None):
     """Replay the full derivation of a family's summary-row equation.
 
     Raises ValueError (unknown names), InvariantViolation (a broken
-    constraint or identity), SubstitutionSingular (a kny or A4 binding
-    that zeroes a denominator) and DivergesAtZero (a missing limit); a
-    murata binding that zeroes a pencil or recipe denominator (a1 = 0 in
-    A5, t = 0 in A7) still raises ZeroDivisionError.
+    constraint or identity), SubstitutionSingular (a binding that zeroes
+    a denominator: of the kny pencil or the A4 constraint, of the murata
+    pencil entries, as l = 0 or m = 0, or of a recipe's set value or the
+    relation at it, as a1 = 0 in A5 or A6, a3 = 0 in A5s, t = 0 in A7 and
+    k2 = 0 in A7p) and DivergesAtZero (a missing limit).
     """
     if catalog == "murata":
         params = MurataParams(family, binding)
@@ -688,8 +745,10 @@ def verify_family(catalog, family, binding=None):
     slot of the non-shifted coefficient may also match with its sign
     flipped.  Returns a report dict with keys "catalog", "family",
     "match", "accessoryMap" and "discrepancies".  Raises as
-    derive_equation does, and SubstitutionSingular when the binding
-    zeroes a denominator of the constraint, the row or its closed form.
+    derive_equation does (SubstitutionSingular for a murata binding that
+    zeroes a pencil or recipe denominator included), and
+    SubstitutionSingular when the binding zeroes a denominator of the
+    constraint, the row or its closed form.
     """
     binding = {name: as_ratfun(value)
                for name, value in (binding or {}).items()}

@@ -1,11 +1,13 @@
 """Catalog derivations: invariants, elimination, strips, recorded rows."""
 
 from fractions import Fraction
+import json
 import random
 
 import pytest
 
 from qheun import lax, xpoly
+from qheun.cli import write_equation
 from qheun.gauge import gauge_linear
 from qheun.lax import (KNY_FAMILIES, KNY_GAUGED, KNYParams, InvariantViolation,
                        MURATA_FAMILIES, MurataParams, SubstitutionSingular,
@@ -350,6 +352,26 @@ def test_verify_binding_that_kills_a_denominator(catalog, family, binding):
         verify_family(catalog, family, binding)
 
 
+@pytest.mark.parametrize("family, binding", [
+    # l = 0 and m = 0 divide the pencil entries
+    ("A4", {"l": 0}),
+    ("A7p", {"m": 0}),
+    # the paper recipes set l = a1*t or l = a3, and the entries divide by l
+    ("A5", {"a1": 0}),
+    ("A6", {"a1": 0}),
+    ("A5s", {"a3": 0}),
+    # the alt recipes set m to a quotient by t, k1 and k2
+    ("A7", {"t": 0}),
+    ("A7p", {"k1": 0}),
+    ("A7p", {"k2": 0}),
+])
+def test_murata_binding_that_kills_a_denominator(family, binding):
+    with pytest.raises(SubstitutionSingular):
+        derive_equation("murata", family, binding)
+    with pytest.raises(SubstitutionSingular):
+        verify_family("murata", family, binding)
+
+
 @pytest.mark.parametrize("family", KNY_FAMILIES)
 def test_cleared_equation_proportional_to_pencil(family):
     rng = random.Random(97531 + KNY_FAMILIES.index(family))
@@ -638,3 +660,87 @@ def test_unknown_catalog_and_family():
         accessory_formula("kny", "A4")
     with pytest.raises(ValueError):
         derive_equation("other", "A4")
+
+
+# -- stages shared across calls -----------------------------------------------
+
+_ROWS = ([("murata", f) for f in MURATA_FAMILIES]
+         + [("kny", f) for f in KNY_FAMILIES])
+
+
+def _lax_caches():
+    return [f for f in vars(lax).values() if hasattr(f, "cache_clear")]
+
+
+def _derive_document(catalog, family, binding):
+    return write_equation(derive_equation(catalog, family, binding))
+
+
+def _outcome(call, catalog, family, binding):
+    """The call's result as JSON text, or the exception it raised."""
+    try:
+        return json.dumps(call(catalog, family, binding), sort_keys=True)
+    except (ArithmeticError, ValueError) as exc:
+        return "%s: %s" % (type(exc).__name__, exc)
+
+
+def _full_binding(catalog, family, rng):
+    if catalog == "murata":
+        return _murata_binding(family, rng, with_lm=False)
+    return _kny_binding(rng)
+
+
+def _partial_binding(catalog, rng):
+    names = ("q", "k1", "k2", "t") if catalog == "murata" else \
+        ("q", "k1", "k2")
+    return {n: frac(rng) for n in names}
+
+
+def test_cold_and_warm_calls_agree():
+    # each call once with every lax cache emptied before it, then all of
+    # them again warm: a binding that leaked into a shared per-family
+    # stage would change some later call
+    rng = random.Random(2718)
+    calls = [(c, f, b) for c, f in _ROWS
+             for b in (None, _full_binding(c, f, rng),
+                       _partial_binding(c, rng))]
+    rng.shuffle(calls)
+    caches = _lax_caches()
+    assert {lax._mu, lax._kn, lax.reference_equation} <= set(caches)
+    cold = []
+    for args in calls:
+        for call in (verify_family, _derive_document):
+            for cache in caches:
+                cache.cache_clear()
+            cold.append(_outcome(call, *args))
+    warm = [_outcome(call, *args)
+            for args in calls for call in (verify_family, _derive_document)]
+    assert warm == cold
+
+
+def test_new_bindings_parse_nothing_and_grow_no_cache(monkeypatch):
+    parsed = []
+
+    def counting(text, universe):
+        parsed.append(text)
+        return parse_expr(text, universe)
+
+    monkeypatch.setattr(lax, "parse_expr", counting)
+    caches = _lax_caches()
+    for cache in caches:
+        cache.cache_clear()
+    rng = random.Random(1618)
+
+    def one_pass():
+        for c, f in _ROWS:
+            for b in (_full_binding(c, f, rng), _partial_binding(c, rng)):
+                for call in (verify_family, _derive_document):
+                    _outcome(call, c, f, b)
+
+    one_pass()
+    assert parsed
+    sizes = [cache.cache_info().currsize for cache in caches]
+    parsed.clear()
+    one_pass()
+    assert parsed == []
+    assert [cache.cache_info().currsize for cache in caches] == sizes

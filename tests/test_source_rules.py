@@ -55,3 +55,23 @@ def test_lax_searches_for_no_common_factor():
              and {a.name for a in node.names} & {"gcd", "lcm"}]
     assert not hits, ("lax.py clears denominators by an lcm on line(s) %s"
                       % hits)
+
+
+def test_lax_parses_only_through_the_text_cache():
+    # a constant text is parsed in _mu or _kn, which cache each parse, so
+    # no per-call path of lax parses a table text again
+    tree = _tree(Path(qheun.__file__).parent / "lax.py")
+    inside = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name in ("_mu", "_kn"):
+            decorators = [ast.unparse(d) for d in node.decorator_list]
+            assert "functools.cache" in decorators, (
+                "lax.%s does not cache its parses" % node.name)
+            inside |= {id(n) for n in ast.walk(node)}
+    assert inside, "lax.py defines no _mu/_kn"
+    hits = [node.lineno for node in ast.walk(tree)
+            if id(node) not in inside
+            and (isinstance(node, ast.Name) and node.id == "parse_expr"
+                 or isinstance(node, ast.Attribute)
+                 and node.attr == "parse_expr")]
+    assert not hits, "lax.py uses parse_expr on line(s) %s" % hits
