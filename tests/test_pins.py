@@ -366,3 +366,39 @@ def test_bound_derivation_bytes(label):
     text = _document(_BOUND_CASES[label]())
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     assert digest == _BOUND_PINS.get(label)
+
+
+# -- help text -------------------------------------------------------------
+#
+# The stdout of --help and of each subcommand's --help, at a fixed width
+# of 80 columns (argparse wraps to the COLUMNS environment variable).
+# The limit help lists the preset names, so the pin holds them too.
+
+_HELP_PINS = {
+    "--help":
+        "2007a07f0e445b61292ac38b56ce902a7816385526896ec4cfd4f6ef746d4b18",
+    "derive --help":
+        "c89efa2ea5576dca8040b01c493ed0da07f909e66b2fe9fa04ddf160cd14d0ae",
+    "classify --help":
+        "be85954a13394ab5a4bf4fa0113a2a284a208147e2be9dbb7ff357b3c87d1f5f",
+    "polygon --help":
+        "d0a484289503bd5d551bf4e6e22e685746a5dcfd6c6447c4f35f83aafb1fe858",
+    "gauge --help":
+        "8efde97ed1bf7d5b6c6c12d7d1065ef6558c2fd2d9e583da14d723b2a14d45ce",
+    "exponents --help":
+        "3dd081c5b1cee0e61969b84601cc6a93448e2689b869985edc32ad27ec3342e0",
+    "series --help":
+        "839d83bd8e2e44f3378885d55154aeb3b975091b68aee5edd2d22e0339b5c450",
+    "limit --help":
+        "1547050130e945a95f3aa4c073f89cb1f4b70562e32cc1421bacf67f9827a9fa",
+    "verify --help":
+        "ecfdc1afd8e3645d7593d8cf4fca86759bdefb326932e8daf02001c6a2f55a6a",
+}
+
+
+@pytest.mark.parametrize("label", sorted(_HELP_PINS))
+def test_help_bytes(label, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    text = _stdout(label.split())
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert digest == _HELP_PINS[label]
