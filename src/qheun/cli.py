@@ -13,6 +13,10 @@ MAX_EXPONENT (10000) in an exact rational, and JSON nested too deeply.
 Exit codes: 0 success, 1 verification mismatch, 2 usage or parse error,
 3 domain error.  A reader that closes stdout early does not change the
 exit code; the rest of the output is discarded.
+
+Only the document plumbing (qdiff, symkernel) loads with this module;
+each command imports the submodules it runs on first use, so a command
+line loads no more of the package than its command needs.
 """
 
 import argparse
@@ -22,7 +26,7 @@ import re
 import sys
 from fractions import Fraction
 
-from . import climit, gauge as gaugemoves, lax, local, odeheun, qdiff
+from . import qdiff
 from .qdiff import CONVENTION
 from .symkernel import ParseError, UnknownParameter, as_ratfun, parse_expr
 
@@ -47,6 +51,9 @@ MAX_DEGREE = 1000
 #: Largest decimal exponent, in absolute value, of an exact rational:
 #: Fraction("1e1000000000") would build a billion digits, for hours.
 MAX_EXPONENT = 10000
+
+#: climit.preset_names(), kept here so that the parser loads no climit
+_PRESET_NAMES = ("heun", "confluent", "biconfluent", "doubly-confluent")
 
 
 class UsageError(Exception):
@@ -221,6 +228,7 @@ def _bind_equation(eq, binding):
 # -- subcommands -----------------------------------------------------------
 
 def _cmd_derive(args):
+    from . import lax
     catalog, family = args.catalog, args.family
     roster = (lax.MURATA_FAMILIES if catalog == "murata"
               else lax.KNY_FAMILIES)
@@ -263,11 +271,12 @@ def _cmd_polygon(args):
 
 
 def _cmd_gauge(args):
+    from . import gauge
     eq = read_equation(_load_json(args.infile))
     kind = args.kind
     if kind == "power":
         _fail(args.exponent is not None, "--kind power needs --exponent")
-        new = gaugemoves.gauge_power(
+        new = gauge.gauge_power(
             eq, _rational(args.exponent, "--exponent"))
     elif kind in ("pochhammer", "theta"):
         _fail(args.alpha is not None, "--kind %s needs --alpha" % kind)
@@ -275,20 +284,21 @@ def _cmd_gauge(args):
         _fail(eq.variable not in names,
               "--alpha must not involve the equation variable")
         value = parse_expr(args.alpha, names)
-        new = gaugemoves.gauge_move_factor(
+        new = gauge.gauge_move_factor(
             eq, "Pochhammer" if kind == "pochhammer" else "Theta", value)
     elif kind == "linear":
         _fail(args.factor is not None, "--kind linear needs --factor")
         value = parse_expr(args.factor,
                            _identifiers(args.factor) | {eq.variable})
-        new = gaugemoves.gauge_linear(eq, value)
+        new = gauge.gauge_linear(eq, value)
     else:
-        new = gaugemoves.invert_variable(eq)
+        new = gauge.invert_variable(eq)
     _emit_json(write_equation(new), args.out)
     return 0
 
 
 def _cmd_exponents(args):
+    from . import local
     eq = read_equation(_load_json(args.infile))
     if args.bind:
         eq = _bind_equation(eq, read_binding(_load_json(args.bind)))
@@ -305,6 +315,7 @@ def _cmd_exponents(args):
 
 
 def _cmd_series(args):
+    from . import local
     eq = read_equation(_load_json(args.infile))
     binding = read_binding(_load_json(args.bind))
     _fail(args.terms >= 0, "--terms must be nonnegative")
@@ -322,6 +333,7 @@ def _cmd_series(args):
 
 
 def _read_family_file(path):
+    from . import climit
     doc = _load_json(path)
     _fail(isinstance(doc, dict), "family document must be a JSON object")
     _fail(doc.get("format") == FAMILY_FORMAT,
@@ -343,8 +355,15 @@ def _read_family_file(path):
 
 
 def _cmd_limit(args):
+    from . import climit, odeheun
     _fail((args.preset is None) != (args.family_file is None),
           "give exactly one of --preset and --family-file")
+    if args.crosscheck is not None:
+        eps = _rational(args.crosscheck, "--crosscheck")
+        _fail(0 < eps < 1, "--crosscheck wants 0 < eps < 1")
+        _fail(eps / 10 >= Fraction(sys.float_info.min), "--crosscheck "
+              "wants eps >= %r: the gap at eps/10 must stay in the float "
+              "range" % (10 * sys.float_info.min))
     if args.preset is not None:
         try:
             fam = climit.preset_family(args.preset)
@@ -372,8 +391,6 @@ def _cmd_limit(args):
            "display": display}
     _emit_json(doc, args.emit)
     if args.crosscheck is not None:
-        eps = _rational(args.crosscheck, "--crosscheck")
-        _fail(0 < eps < 1, "--crosscheck wants 0 < eps < 1")
         xs = (Fraction(1, 10),)
         coarse = climit.crosscheck(fam, eps, xs, N=12)
         fine = climit.crosscheck(fam, eps / 10, xs, N=12)
@@ -385,6 +402,7 @@ def _cmd_limit(args):
 
 
 def _cmd_verify(args):
+    from . import lax
     jobs = []
     for catalog, roster in (("murata", lax.MURATA_FAMILIES),
                             ("kny", lax.KNY_FAMILIES)):
@@ -480,8 +498,7 @@ def _build_parser():
 
     p = sub.add_parser("limit", help="continuum limit of an eps-family")
     p.add_argument("--preset", metavar="ID",
-                   help="shipped family (%s)" % ", ".join(
-                       climit.preset_names()))
+                   help="shipped family (%s)" % ", ".join(_PRESET_NAMES))
     p.add_argument("--family-file", metavar="FILE")
     p.add_argument("--emit", metavar="FILE",
                    help="write the limiting-operator document here")

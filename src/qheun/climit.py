@@ -18,7 +18,6 @@ from .symkernel import (DivergesAtZero, as_ratfun, limit_at_zero,
                         parse_expr, rat, sym)
 from .qdiff import QDiffEq
 from .local import Resonance, char_exponents, quad_roots, series_solution
-from .lax import reference_equation
 
 __all__ = [
     "AllZero", "EpsilonFamily", "HeunODE", "IrregularAtZero", "LimitData",
@@ -457,7 +456,9 @@ def crosscheck(fam: EpsilonFamily, eps, xs, N=12) -> float:
     evaluated at the points xs and the maximal absolute difference is
     returned.  The comparison drops both power-law prefactors, so it is
     meaningful when the chosen q-branch tends to the exponent-0 branch
-    (true for every shipped preset, whose unit root is exact).
+    (true for every shipped preset, whose unit root is exact).  The gaps
+    stay exact up to one float conversion of their maximum, and a nonzero
+    maximum below the float range raises ValueError, not 0.0.
     """
     eps = Fraction(eps) if not isinstance(eps, (int, Fraction)) else eps
     eq = fam.equation(eps)
@@ -469,17 +470,19 @@ def crosscheck(fam: EpsilonFamily, eps, xs, N=12) -> float:
     sol = series_solution(eq, {"q": 1 + eps}, rootIndex=idx, N=N)
     d = ode_series(classify_ode(emit_ode(limit_coefficients(fam))), N=N)
     c = sol.coefficients
-    dev = 0.0
-    for x in xs:
-        qv = sum(cn * x ** n for n, cn in enumerate(c))
-        ov = sum(dn * x ** n for n, dn in enumerate(d))
-        dev = max(dev, abs(float(qv - ov)))
+    gap = max((abs(sum(cn * x ** n for n, cn in enumerate(c))
+                   - sum(dn * x ** n for n, dn in enumerate(d)))
+               for x in xs), default=0)
+    dev = float(gap)
+    if gap and not dev:
+        raise ValueError("a nonzero gap is below the float range")
     return dev
 
 
 # -- shipped presets -------------------------------------------------------
 
 def _family_from_row(catalog, family, binding):
+    from .lax import reference_equation   # only these presets need lax
     eq = reference_equation(catalog, family)
     bound = {name: parse_expr(text, {"eps"}) for name, text in binding.items()}
     rows = []

@@ -7,8 +7,8 @@ u(qx) = p(x)u(x)).  The factors themselves are never represented
 symbolically; only their effect on coefficients is.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import xpoly
 from .qdiff import QDiffEq, ThreeTermRelation
@@ -171,8 +171,7 @@ def _rebase_steps(eq: QDiffEq, steps: int) -> QDiffEq:
 # records
 
 
-@dataclass(frozen=True)
-class GaugeRecord:
+class GaugeRecord(NamedTuple):
     """A reified gauge step, so transformations can be replayed or undone.
 
     kind is one of "Power", "MoveFactor", "Linear", "InvertVariable",

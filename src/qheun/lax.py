@@ -91,7 +91,8 @@ def _bind(expr, binding):
 # Each family's parameter constraint: a polynomial that vanishes on its
 # surface, and the names it is linear in, in the order they are solved for.
 _BALANCE = (_kn("q*n1*n2*n3*n4*n5*n6*n7*n8 - k1^2*k2^2"), ("n8", "n7"))
-_CONSTRAINTS = {"A4": (_mu("th1*th2 + k1*k2*a1*a2*a3"), ("th2", "th1")),
+_CONSTRAINTS = {"A4": (_mu("th1*th2 + k1*k2*a1*a2*a3"),
+                       ("th2", "th1", "k1", "k2", "a1", "a2", "a3")),
                 **{family: _BALANCE for family in KNY_FAMILIES}}
 
 
@@ -113,8 +114,9 @@ def _checked_binding(family, binding, allowed):
 
 def _surface(family, binding):
     """The family's constraint solved for the first of its names the
-    binding leaves free, as a bound one-entry substitution, or {};
-    SubstitutionSingular when the binding zeroes that name's coefficient."""
+    binding leaves free, as a bound one-entry substitution, or {} (no name
+    free, or the bound constraint is 0); SubstitutionSingular when the
+    binding zeroes that name's coefficient but not the constraint."""
     expr, names = _CONSTRAINTS.get(family, (None, ()))
     for name in names:
         if name not in binding:
@@ -122,8 +124,11 @@ def _surface(family, binding):
             try:
                 return {name: _bind(-c0 / c1, binding)}
             except ZeroDivisionError:
-                raise SubstitutionSingular("%s binding zeroes the coefficient "
-                                           "of %s" % (family, name)) from None
+                if not _bind(expr, binding):
+                    return {}
+                raise SubstitutionSingular(
+                    "%s binding zeroes the coefficient of %s in %s = 0"
+                    % (family, name, expr)) from None
     return {}
 
 

@@ -12,8 +12,7 @@ Z = -B, M = C, so a "B coefficient vanishes" condition is exactly a
 "Z coefficient vanishes" condition here.
 """
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import xpoly
 from .symkernel import RatFun, as_ratfun, sym
@@ -192,8 +191,7 @@ def equations_proportional(a: QDiffEq, b: QDiffEq) -> bool:
 # support diagrams
 
 
-@dataclass(frozen=True)
-class NewtonDiagram:
+class NewtonDiagram(NamedTuple):
     """Support of an equation on the 3-column lattice, plus its convex hull.
 
     filled holds (column, row) pairs with column in {"M","Z","P"} and row
@@ -287,8 +285,7 @@ def _render_svg(d: NewtonDiagram) -> str:
 # classification
 
 
-@dataclass(frozen=True)
-class TaxonomyLabel:
+class TaxonomyLabel(NamedTuple):
     """Classification result: broad class, matched defining form if any,
     reduction level, and the raw support signature."""
     class_: str

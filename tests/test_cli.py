@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import qheun
 from qheun import equations_equal, ratfun_eq, reference_equation
+from qheun import cli
 from qheun.cli import (
     BIND_FORMAT,
     CONVENTION,
@@ -507,6 +508,25 @@ def test_limit_reduced_display_reports_obstruction(tmp_path):
     assert "reduced DHE" in doc["display"]["obstruction"]
 
 
+def test_limit_preset_help_names_every_preset():
+    # the parser lists the names without loading climit
+    assert cli._PRESET_NAMES == qheun.climit.preset_names()
+
+
+def test_limit_crosscheck_below_the_float_range_is_a_usage_error(tmp_path):
+    # at eps = 10^-400 every gap underflows a float, and the report would
+    # claim a perfect match; the refusal comes before any output
+    code, out, err = call(["limit", "--preset", "heun",
+                           "--crosscheck", "1e-400"])
+    assert (code, out) == (2, "")
+    assert "float range" in err
+    code, out, _ = call(["limit", "--preset", "heun", "--emit",
+                         str(tmp_path / "ode.json"), "--crosscheck", "3e-307"])
+    assert code == 0
+    report = _json(out)
+    assert report["deviation"] > 0 and report["deviationAtTenth"] > 0
+
+
 def test_limit_flag_validation(tmp_path):
     assert call(["limit"])[0] == 2
     assert call(["limit", "--preset", "nope"])[0] == 2
@@ -585,6 +605,56 @@ def _child_env():
     """The environment of a child process that imports this qheun."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(qheun.__file__)))
     return dict(os.environ, PYTHONPATH=src)
+
+
+# A command loads only the modules it runs; the rest stay out of the child.
+# DOC stands for an A4 equation document and BIND for a binding document.
+_IMPORT_SETS = {
+    "help": (["--help"], ("lax", "local", "gauge", "climit", "odeheun")),
+    "classify": (["classify", "--in", "DOC"],
+                 ("lax", "local", "gauge", "climit", "odeheun")),
+    "polygon": (["polygon", "--in", "DOC"],
+                ("lax", "local", "gauge", "climit", "odeheun")),
+    "derive": (["derive", "--catalog", "kny", "--family", "D5"],
+               ("climit", "odeheun", "local", "gauge")),
+    "verify": (["verify", "--catalog", "murata", "--family", "A7"],
+               ("climit", "odeheun", "local", "gauge")),
+    "gauge": (["gauge", "--in", "DOC", "--kind", "invert"],
+              ("lax", "local", "climit", "odeheun")),
+    "exponents": (["exponents", "--in", "DOC"],
+                  ("lax", "gauge", "climit", "odeheun")),
+    "series": (["series", "--in", "DOC", "--bind", "BIND", "--terms", "3"],
+               ("lax", "gauge", "climit", "odeheun")),
+    # a preset that no catalog row builds needs no lax
+    "limit": (["limit", "--preset", "biconfluent"], ("lax", "gauge")),
+}
+
+_LOADED = """
+import runpy, sys
+sys.argv = ["qheun"] + sys.argv[1:]
+code = None
+try:
+    runpy.run_module("qheun.cli", run_name="__main__")
+except SystemExit as stop:
+    code = stop.code
+print(code, " ".join(sorted(sys.modules)), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("kind", sorted(_IMPORT_SETS))
+def test_command_loads_only_what_it_runs(kind, a4_binding_file, tmp_path):
+    argv, absent = _IMPORT_SETS[kind]
+    doc = tmp_path / "a4.json"
+    doc.write_text(derive_doc("murata", "A4"))
+    files = {"DOC": str(doc), "BIND": a4_binding_file}
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED, *(files.get(a, a) for a in argv)],
+        capture_output=True, text=True, env=_child_env())
+    code, modules = proc.stderr.splitlines()[-1].split(" ", 1)
+    assert code == "0", proc.stderr
+    loaded = set(modules.split())
+    assert not loaded & {"qheun." + name for name in absent}
+    assert "dataclasses" not in loaded
 
 
 @pytest.mark.parametrize("unbuffered", [False, True])

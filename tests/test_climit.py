@@ -424,6 +424,13 @@ def test_crosscheck_accepts_float_eps():
     assert abs(exact - hazy) < 1e-12
 
 
+def test_crosscheck_refuses_a_gap_below_the_float_range():
+    # the exact gap at eps = 10^-400 is about 10^-400, which float()
+    # rounds to 0.0: a false perfect match, so it is refused instead
+    with pytest.raises(ValueError, match="below the float range"):
+        crosscheck(preset_family("heun"), F(1, 10 ** 400), (F(1, 10),), N=12)
+
+
 # -- numeric fallback ------------------------------------------------------
 
 def test_richardson_converging():

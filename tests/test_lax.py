@@ -352,6 +352,25 @@ def test_verify_binding_that_kills_a_denominator(catalog, family, binding):
         verify_family(catalog, family, binding)
 
 
+@pytest.mark.parametrize("binding", [
+    # th1 and th2 fixed: the constraint is solved for k1 instead
+    {"a3": 2, "d": 1, "th1": -3, "th2": -2},
+    {"th1": -3, "th2": -2, "k1": 1, "k2": 1, "a1": 1},
+    # a1 = 0 zeroes every other coefficient, but th1*th2 = 0 satisfies
+    # the constraint whatever the free names are
+    {"th1": 0, "th2": 1, "a1": 0},
+])
+def test_a4_binding_with_both_exponents_fixed(binding):
+    derive_equation("murata", "A4", binding)
+    assert verify_family("murata", "A4", binding)["match"]
+
+
+def test_a4_binding_off_every_solvable_surface():
+    # a1 = 0 zeroes the coefficient of k1 while th1*th2 = 6 stays
+    with pytest.raises(SubstitutionSingular, match="th1\\*th2 = 0"):
+        verify_family("murata", "A4", {"th1": -3, "th2": -2, "a1": 0})
+
+
 @pytest.mark.parametrize("family, binding", [
     # l = 0 and m = 0 divide the pencil entries
     ("A4", {"l": 0}),

@@ -56,6 +56,8 @@ def _cases():
     for preset in preset_names():
         cases["limit --preset " + preset] = (["limit", "--preset", preset],
                                              None)
+        argv = ["limit", "--preset", preset, "--crosscheck", "1/100"]
+        cases[" ".join(argv)] = (argv, None)
     for catalog, family, factor, extra in (
             ("murata", "A5", "x - a2*t", ()),
             ("kny", "D5", "z - n3", ()),
@@ -180,6 +182,14 @@ _PINS = {
         "c4f0b949c13b951943db75e66701f4a72766470190e0c41286fecb1155b5a38b",
     "gauge --kind linear --factor z - n3 < kny D5":
         "2ed589b242579c4648bcea93054bd6a5f1a8024e60dfacca61fd6f28f600d785",
+    "limit --preset biconfluent --crosscheck 1/100":
+        "f8d62cc51d10ed5e67a3906c6ed7ea86e4c61239bfe882c67802b8e486fa734d",
+    "limit --preset confluent --crosscheck 1/100":
+        "c615db21c3153cc8ec33eb1311592fb40d4b3ab42e1865535105f8a21a6156d4",
+    "limit --preset doubly-confluent --crosscheck 1/100":
+        "c334774c519db173c5e6b7e9f10a62b7e186037dbff7e4514420795e48b6b697",
+    "limit --preset heun --crosscheck 1/100":
+        "440cc5a36a013c6790a9482e3c4364e5887c712aa1524dc557a5013330b858a6",
     "limit --preset biconfluent":
         "53e5d834a7556a6801c54e65fc4186a877b4f75b14d6a892a346dff3d255cf2d",
     "limit --preset confluent":

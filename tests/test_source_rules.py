@@ -75,3 +75,16 @@ def test_lax_parses_only_through_the_text_cache():
                  or isinstance(node, ast.Attribute)
                  and node.attr == "parse_expr")]
     assert not hits, "lax.py uses parse_expr on line(s) %s" % hits
+
+
+@pytest.mark.parametrize("path", _SOURCES, ids=lambda p: p.name)
+def test_no_dataclasses_import(path):
+    # dataclasses pulls in inspect, a few ms of every CLI start-up; the
+    # records are typing.NamedTuple, and typing is loaded at start-up
+    hits = [node.lineno for node in ast.walk(_tree(path))
+            if isinstance(node, ast.Import)
+            and any(a.name.split(".")[0] == "dataclasses" for a in node.names)
+            or isinstance(node, ast.ImportFrom)
+            and (node.module or "").split(".")[0] == "dataclasses"]
+    assert not hits, "%s imports dataclasses on line(s) %s" % (path.name,
+                                                               hits)
