@@ -1,10 +1,10 @@
 """Pure-Python kernels for sparse term-dict arithmetic.
 
 A term dict maps an exponent tuple (one slot per variable, fixed length)
-to a nonzero coefficient.  These functions are the inner loop of every
-polynomial operation and the only implementation of it;
-qheun.symkernel binds this module as ``termops``.  ``BACKEND`` names
-the kernel in benchmark run records.
+to a nonzero coefficient.  These are the only term-dict loops; MPoly
+keeps constant factors away from ``mul_terms``.  qheun.symkernel alone
+imports this module, as ``termops``.  ``BACKEND`` names the kernel in
+benchmark run records.
 """
 
 BACKEND = "pure"

@@ -11,7 +11,10 @@ Three layers:
 Plus a recursive-descent parser for the expression grammar used by the
 command-line documents, and a canonical graded-lex printer whose output
 reparses to an equal value.  The term-dict loops under MPoly live in
-qheun._termops, re-exported here as ``termops``.
+qheun._termops, re-exported here as ``termops``.  Constants take short
+paths with the same results: a constant factor only scales the other
+operand, a constant denominator is divided into the numerator, and
+substitution multiplies by power tables once per bound-exponent group.
 """
 
 from __future__ import annotations
@@ -128,6 +131,9 @@ class MPoly:
         return self.vars == other.vars and self.terms == other.terms
 
     def __hash__(self):
+        # a constant equals its value (__eq__), so it hashes like it
+        if not self.vars:
+            return hash(self.terms.get((), 0))
         return hash((self.vars, frozenset(self.terms.items())))
 
     # -- alignment ---------------------------------------------------------
@@ -181,19 +187,29 @@ class MPoly:
         return MPoly(self.vars, termops.neg_terms(self.terms))
 
     def __mul__(self, other):
+        """Product; a constant operand (1: returned as is) scales the other,
+        so only two non-constant polynomials reach ``termops.mul_terms``.
+        """
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if not c:
-                return _MP_ZERO
-            return MPoly(self.vars, termops.scale_terms(self.terms, c))
-        if not isinstance(other, MPoly):
+            p, c = self, Fraction(other)
+        elif not isinstance(other, MPoly):
             return NotImplemented
-        if self.is_zero or other.is_zero:
+        elif self.is_zero or other.is_zero:
             return _MP_ZERO
-        # over Q, deg_v(a*b) = deg_v(a) + deg_v(b): a product of nonzero
-        # canonical polynomials uses every variable of the aligned tuple
-        vars_, ta, tb = MPoly._aligned(self, other)
-        return MPoly(vars_, termops.mul_terms(ta, tb))
+        elif not other.vars:
+            p, c = self, other.terms[()]
+        elif not self.vars:
+            p, c = other, self.terms[()]
+        else:
+            # over Q, deg_v(a*b) = deg_v(a) + deg_v(b): a product of nonzero
+            # canonical polynomials uses every variable of the aligned tuple
+            vars_, ta, tb = MPoly._aligned(self, other)
+            return MPoly(vars_, termops.mul_terms(ta, tb))
+        if not c:
+            return _MP_ZERO
+        if c == 1:
+            return p
+        return MPoly(p.vars, termops.scale_terms(p.terms, c))
 
     __rmul__ = __mul__
 
@@ -277,7 +293,10 @@ class MPoly:
         return Fraction(0) if total is None else total
 
     def substitute(self, binding: dict) -> "RatFun":
-        """Simultaneous substitution of some variables by rational functions."""
+        """Simultaneous substitution of some variables by rational functions.
+
+        Terms with equal bound exponents share one power-table product.
+        """
         bound = [v for v in self.vars if v in binding]
         if not bound or self.is_zero:
             return RatFun(self)
@@ -285,18 +304,19 @@ class MPoly:
         idx = [self.vars.index(v) for v in bound]
         emax = {v: max(e[i] for e in self.terms) for v, i in zip(bound, idx)}
         # shared denominator prod(den_v^emax_v); numerators via power tables
-        npow = {}
-        dpow = {}
-        for v in bound:
-            npow[v] = _power_table(rfs[v].num, emax[v])
-            dpow[v] = _power_table(rfs[v].den, emax[v])
+        npow = {v: _power_table(rfs[v].num, emax[v]) for v in bound}
+        dpow = {v: _power_table(rfs[v].den, emax[v]) for v in bound}
         keep = [i for i in range(len(self.vars)) if self.vars[i] not in binding]
         keep_vars = tuple(self.vars[i] for i in keep)
-        total = _MP_ZERO
+        groups: dict = {}
         for e, c in self.terms.items():
-            part = MPoly._make(keep_vars, {tuple(e[i] for i in keep): c})
-            for v, i in zip(bound, idx):
-                part = part * npow[v][e[i]] * dpow[v][emax[v] - e[i]]
+            kept = groups.setdefault(tuple(e[i] for i in idx), {})
+            kept[tuple(e[i] for i in keep)] = c
+        total = _MP_ZERO
+        for be, kept in groups.items():
+            part = MPoly._make(keep_vars, kept)
+            for v, k in zip(bound, be):
+                part = part * npow[v][k] * dpow[v][emax[v] - k]
             total = total + part
         den = _MP_ONE
         for v in bound:
@@ -350,8 +370,10 @@ class RatFun:
     Normalization kept cheap and canonical-ish: common per-variable
     monomial content between numerator and denominator is cancelled, and
     the denominator is scaled to integer coprime coefficients with a
-    positive graded-lex leading coefficient.  Equality is defined by
-    cross-multiplication, so normalization never changes the value.
+    positive graded-lex leading coefficient.  A constant denominator
+    becomes 1 directly, its inverse scaling the numerator.  Equality is
+    defined by cross-multiplication, so normalization never changes the
+    value.
     """
 
     __slots__ = ("num", "den")
@@ -367,6 +389,12 @@ class RatFun:
             raise ZeroDivisionError("rational function with zero denominator")
         if num.is_zero:
             object.__setattr__(self, "num", _MP_ZERO)
+            object.__setattr__(self, "den", _MP_ONE)
+            return
+        if not den.vars:
+            # the signed content of a constant is the constant itself
+            c = den.terms[()]
+            object.__setattr__(self, "num", num if c == 1 else num * (1 / c))
             object.__setattr__(self, "den", _MP_ONE)
             return
         shared = set(num.vars) & set(den.vars)

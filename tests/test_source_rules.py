@@ -38,6 +38,29 @@ def test_no_private_name_crosses_a_module(path):
     assert not hits, "%s imports private names %s" % (path.name, hits)
 
 
+def _imports_termops(node):
+    # "import qheun._termops", "from . import _termops",
+    # "from ._termops import mul_terms", "from qheun import _termops"
+    if isinstance(node, ast.Import):
+        return any(a.name.split(".")[-1] == "_termops" for a in node.names)
+    if not isinstance(node, ast.ImportFrom):
+        return False
+    module = (node.module or "").split(".")
+    return (module[-1] == "_termops"
+            or any(a.name == "_termops" for a in node.names))
+
+
+@pytest.mark.parametrize("path", _SOURCES, ids=lambda p: p.name)
+def test_only_symkernel_imports_the_term_kernel(path):
+    # MPoly keeps constant operands off the term-dict loops; a module that
+    # called _termops directly would bypass those paths
+    hits = [node.lineno for node in ast.walk(_tree(path))
+            if _imports_termops(node)]
+    allowed = 1 if path.name == "symkernel.py" else 0
+    assert len(hits) == allowed, "%s imports _termops on line(s) %s" % (
+        path.name, hits)
+
+
 def test_lax_searches_for_no_common_factor():
     # lax cancels the factors each construction names, by exact division;
     # the Euclidean gcd, the lcm built on it, and the lcm clearing of

@@ -70,6 +70,20 @@ def test_canonical_form():
     assert b.vars == ("y",)
 
 
+@settings(max_examples=40, deadline=None)
+@given(mpolys(max_terms=2, max_exp=1), coeffs)
+def test_equal_values_hash_alike(p, c):
+    # __eq__ equates a constant polynomial with its int or Fraction
+    # value, so a set or a dict must find either one through the other
+    assert 3 in {MPoly.const(3)} and MPoly.const(3) in {3}
+    assert {MPoly.const(Fraction(-2, 7)): 1}[Fraction(-2, 7)] == 1
+    assert 0 in {MPoly()} and hash(MPoly()) == hash(0)
+    assert c in {MPoly.const(c)}
+    if p.is_const():
+        assert hash(p) == hash(p.const_value())
+    assert hash(p + MPoly.var("y") - MPoly.var("y")) == hash(p)
+
+
 @settings(max_examples=60, deadline=None)
 @given(mpolys(), mpolys(), mpolys())
 def test_ring_axioms(a, b, c):
@@ -184,6 +198,145 @@ def test_substitute_commutes_with_evaluation(p, xv, yv):
     direct = p.evaluate({"x": xv, "y": yv})
     rest = out.evaluate({"y": yv}) if out.variables() else out.const_value()
     assert rest == direct
+
+
+# -- constant fast paths ------------------------------------------------------
+
+def _counter(mp, owner, name):
+    """Replace owner.name by a wrapper that records each call."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    mp.setattr(owner, name, counted)
+    return calls
+
+
+def _same_terms(got, want):
+    # same variables, same terms, and the same dict order: evaluate sums
+    # the terms in that order, so a float result depends on it
+    assert got.vars == want.vars
+    assert list(got.terms.items()) == list(want.terms.items())
+
+
+def _general_product(a, b):
+    """The aligned ``mul_terms`` product, which once took every product."""
+    if a.is_zero or b.is_zero:
+        return MPoly()
+    vars_, ta, tb = MPoly._aligned(a, b)
+    return MPoly(vars_, termops.mul_terms(ta, tb))
+
+
+@settings(max_examples=60, deadline=None)
+@given(mpolys(), coeffs)
+@example(MPoly.var("x") * 3 + 1, Fraction(1))
+def test_constant_products_skip_the_term_kernel(p, c):
+    k = MPoly.const(c)
+    one = MPoly.const(1)
+    cases = [(p, k), (k, p), (p, one), (one, p), (k, k)]
+    want = [_general_product(a, b) for a, b in cases]
+    want += [want[0], want[1], want[2]]
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _counter(mp, termops, "mul_terms")
+        got = [a * b for a, b in cases] + [p * c, c * p, p * 1]
+        assert not calls
+        x, y = MPoly.var("x"), MPoly.var("y")
+        (x + 1) * y
+        assert len(calls) == 1
+    for g, w in zip(got, want):
+        _same_terms(g, w)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mpolys(), coeffs.filter(bool))
+@example(MPoly.var("x") * 3 + 1, Fraction(1))
+def test_constant_denominators_skip_the_content_scan(p, c):
+    d = MPoly.const(c)
+    inv = 1 / d.content_signed()
+    want = MPoly(p.vars, termops.scale_terms(p.terms, inv))
+    with pytest.MonkeyPatch.context() as mp:
+        scans = _counter(mp, MPoly, "content_signed")
+        products = _counter(mp, termops, "mul_terms")
+        got = [RatFun(p, d), RatFun(p, c), as_ratfun(p) / c]
+        assert not scans and not products
+        RatFun(MPoly.var("x"), MPoly.var("y") * c)
+        assert len(scans) == 1
+    for r in got:
+        _same_terms(r.num, want)
+        _same_terms(r.den, MPoly.const(1))
+
+
+# -- substitution against the per-term loop -----------------------------------
+
+def _per_term_substitute(p, binding):
+    """The per-term substitution loop that grouped substitution replaced.
+
+    Each term gets its own chain of products through the power tables of
+    the bound values' numerators and denominators; the test keeps it as
+    the reference the grouped loop must reproduce term for term.
+    """
+    bound = [v for v in p.vars if v in binding]
+    if not bound or p.is_zero:
+        return RatFun(p)
+    rfs = {v: as_ratfun(binding[v]) for v in bound}
+    idx = [p.vars.index(v) for v in bound]
+    emax = {v: max(e[i] for e in p.terms) for v, i in zip(bound, idx)}
+    npow = {v: [rfs[v].num ** k for k in range(emax[v] + 1)] for v in bound}
+    dpow = {v: [rfs[v].den ** k for k in range(emax[v] + 1)] for v in bound}
+    keep = [i for i in range(len(p.vars)) if p.vars[i] not in binding]
+    keep_vars = tuple(p.vars[i] for i in keep)
+    total = MPoly()
+    for e, c in p.terms.items():
+        part = MPoly._make(keep_vars, {tuple(e[i] for i in keep): c})
+        for v, i in zip(bound, idx):
+            part = part * npow[v][e[i]] * dpow[v][emax[v] - e[i]]
+        total = total + part
+    den = MPoly.const(1)
+    for v in bound:
+        den = den * dpow[v][emax[v]]
+    return RatFun(total, den)
+
+
+def _V(text):
+    return parse_expr(text, U + ["y", "z"])
+
+
+@st.composite
+def bindings(draw):
+    """A binding of one of the shapes the derivations substitute."""
+    kind = draw(st.sampled_from(["constant", "monomial quotient",
+                                 "polynomial", "partial", "kept variable"]))
+    if kind == "constant":
+        return {"x": rat(draw(coeffs))}
+    if kind == "monomial quotient":
+        # the shape of the kny balance solution n8 = k1^2 k2^2/(q n1...n7)
+        return {"x": _V("k1^2*k2^2/(q*a1*a2*a3*th1*th2*t)")}
+    if kind == "polynomial":
+        return {"x": as_ratfun(draw(mpolys(names=("w", "y"), max_terms=3,
+                                           max_exp=2)))}
+    if kind == "partial":
+        den = draw(mpolys(names=("q", "w"), max_terms=2, max_exp=2)
+                   .filter(bool))
+        return {"y": RatFun(draw(mpolys(names=("w", "z"), max_terms=2,
+                                        max_exp=2)), den),
+                "z": rat(draw(coeffs)), "m": _V("q + 1")}
+    text = draw(st.sampled_from(["y", "y/z", "z^2 - y", "2*y*z/(z + 1)"]))
+    return {"x": _V(text)}
+
+
+@settings(max_examples=120, deadline=None)
+@given(mpolys(max_terms=6, max_exp=3), bindings())
+@example(_V("x^2*y + 3*x*y - x*z + 5").num,
+         {"x": _V("k1^2*k2^2/(q*a1*a2*a3*th1*th2*t)")})
+def test_grouped_substitution_matches_the_per_term_loop(p, binding):
+    got = p.substitute(binding)
+    want = _per_term_substitute(p, binding)
+    for g, w in ((got.num, want.num), (got.den, want.den)):
+        assert g.vars == w.vars
+        assert g.terms == w.terms
 
 
 def test_limit_at_zero():
