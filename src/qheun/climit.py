@@ -67,20 +67,21 @@ class EpsilonFamily:
 
     sigma = "plus" multiplies g(q*x), "zero" multiplies g(x) and "minus"
     multiplies g(x/q); k in {0, 1, 2} is the x-degree of the slot, and
-    q = 1 + eps.  Entries are rational expressions in the parameter, or
-    plain callables eps -> number for families only available
-    numerically.
+    q = 1 + eps.  Entries are rational expressions in eps, or plain
+    callables eps -> number for families only available numerically.
     """
 
-    __slots__ = ("plus", "zero", "minus", "parameter")
+    __slots__ = ("plus", "zero", "minus")
 
-    def __init__(self, plus, zero, minus, parameter="eps"):
+    #: the name of the small parameter in the entries
+    parameter = "eps"
+
+    def __init__(self, plus, zero, minus):
         for name, row in (("plus", plus), ("zero", zero), ("minus", minus)):
             if len(row) != 3:
                 raise ValueError("row %r must have exactly 3 entries" % name)
             object.__setattr__(self, name, tuple(
-                _coerce_entry(v, parameter) for v in row))
-        object.__setattr__(self, "parameter", parameter)
+                _coerce_entry(v, self.parameter) for v in row))
 
     def __setattr__(self, name, value):
         raise AttributeError("EpsilonFamily is immutable")
@@ -213,20 +214,20 @@ def limit_coefficients(fam: EpsilonFamily) -> LimitData:
     return LimitData(**out)
 
 
-def richardson_limit(fn, steps=8, start=4):
-    """Extrapolate fn(eps) to eps = 0 over the samples eps = 2^-j.
+def richardson_limit(fn):
+    """Extrapolate fn(eps) to eps = 0 over the samples eps = 2^-j, j = 4..11.
 
     Assumes an asymptotic power-series error.  Raises LimitDiverges when
     the samples keep growing instead of settling.
     """
-    xs = [Fraction(1, 2 ** (start + j)) for j in range(steps)]
+    xs = [Fraction(1, 2 ** j) for j in range(4, 12)]
     t = [float(fn(x)) for x in xs]
     tail = [abs(v) for v in t[-4:]]
     if (abs(t[-1]) > 100
             and all(b > 1.5 * a for a, b in zip(tail, tail[1:]))):
         raise LimitDiverges("samples grow without settling: %.3g -> %.3g"
                             % (tail[0], tail[-1]))
-    for m in range(1, steps):
+    for m in range(1, len(xs)):
         w = float(2 ** m)
         t = [(w * t[i + 1] - t[i]) / (w - 1) for i in range(len(t) - 1)]
     return t[0]

@@ -98,17 +98,14 @@ def _move_factor_back(eq: QDiffEq, kind, alpha) -> QDiffEq:
     return QDiffEq(new_p, eq.Z, xpoly.mul(eq.M, out_div), eq.variable)
 
 
-def gauge_linear(eq: QDiffEq, p, q=None) -> QDiffEq:
+def gauge_linear(eq: QDiffEq, p) -> QDiffEq:
     """Divide the unknown by a function u with u(qx) = p(x)u(x).
 
     After clearing by p(x/q) the coefficients stay polynomial:
-    P -> P*p(x)*p(x/q), Z -> Z*p(x/q), M -> M.  ``q`` is the base of
-    the down-shift: the symbol q by default, or the value q is bound to
-    when the equation was built with a numeric q.
+    P -> P*p(x)*p(x/q), Z -> Z*p(x/q), M -> M, with q the symbol.
     """
     p_x = xpoly.as_xpoly(p, eq.variable)
-    base = sym("q") if q is None else as_ratfun(q)
-    p_down = xpoly.shift_arg(p_x, as_ratfun(1) / base)
+    p_down = xpoly.shift_arg(p_x, as_ratfun(1) / sym("q"))
     return QDiffEq(
         xpoly.mul(xpoly.mul(eq.P, p_x), p_down),
         xpoly.mul(eq.Z, p_down),

@@ -35,8 +35,10 @@ the elimination, the specialization and the comparison) run every call.
 """
 
 import functools
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
-from .symkernel import (as_ratfun, limit_at_zero, parse_expr, rat,
+from .symkernel import (RatFun, as_ratfun, limit_at_zero, parse_expr, rat,
                         ratfun_eq, sym)
 from . import xpoly
 from .qdiff import QDiffEq, ThreeTermRelation
@@ -82,12 +84,6 @@ def _kn(text):
     return parse_expr(text, _KNY_UNIVERSE)
 
 
-def _bind(expr, binding):
-    if not binding:
-        return expr
-    return expr.substitute(binding)
-
-
 # Each family's parameter constraint: a polynomial that vanishes on its
 # surface, and the names it is linear in, in the order they are solved for.
 _BALANCE = (_kn("q*n1*n2*n3*n4*n5*n6*n7*n8 - k1^2*k2^2"), ("n8", "n7"))
@@ -107,7 +103,7 @@ def _checked_binding(family, binding, allowed):
                              % (name, family))
     binding = {name: as_ratfun(value) for name, value in binding.items()}
     expr, _ = _CONSTRAINTS.get(family, (rat(0), ()))
-    if set(expr.variables()) <= binding.keys() and _bind(expr, binding):
+    if set(expr.variables()) <= binding.keys() and expr.substitute(binding):
         raise InvariantViolation("%s binding breaks %s = 0" % (family, expr))
     return binding
 
@@ -122,9 +118,9 @@ def _surface(family, binding):
         if name not in binding:
             (c0, c1), _ = xpoly.from_ratfun(expr, name)
             try:
-                return {name: _bind(-c0 / c1, binding)}
+                return {name: (-c0 / c1).substitute(binding)}
             except ZeroDivisionError:
-                if not _bind(expr, binding):
+                if not expr.substitute(binding):
                     return {}
                 raise SubstitutionSingular(
                     "%s binding zeroes the coefficient of %s in %s = 0"
@@ -151,22 +147,19 @@ class MurataParams:
             raise InvariantViolation("base q and scale w must be nonzero")
 
 
-class LaxMatrix:
-    """A 2x2 matrix pencil A(x) with its family tag.
+class LaxMatrix(NamedTuple):
+    """A 2x2 matrix pencil A(x) with its family tag, as an immutable record.
 
     ``binding`` repeats the parameter binding the entries were built
-    with, so that later shifts x -> qx can use the bound base.
+    with, so that later shifts x -> qx can use the bound base; it is a
+    read-only empty mapping when none is given.
     """
-
-    __slots__ = ("family", "a11", "a12", "a21", "a22", "binding")
-
-    def __init__(self, family, a11, a12, a21, a22, binding=None):
-        self.family = family
-        self.a11 = a11
-        self.a12 = a12
-        self.a21 = a21
-        self.a22 = a22
-        self.binding = dict(binding or {})
+    family: str
+    a11: RatFun
+    a12: RatFun
+    a21: RatFun
+    a22: RatFun
+    binding: Mapping = MappingProxyType({})
 
     def det(self):
         return self.a11 * self.a22 - self.a12 * self.a21
@@ -253,15 +246,15 @@ def _murata_entries(family, binding):
     binding them leaves the shared entries as they were.
     """
     try:
-        return tuple(_bind(e, binding) for e in _murata_pencil(family))
+        return tuple(e.substitute(binding) for e in _murata_pencil(family))
     except ZeroDivisionError:
         raise SubstitutionSingular("%s binding zeroes a denominator of the "
                                    "pencil" % family) from None
 
 
 def _eq_on_surface(a, b, subst):
-    return ratfun_eq(a, b) or bool(subst) and ratfun_eq(
-        a.substitute(subst), b.substitute(subst))
+    return ratfun_eq(a, b) or ratfun_eq(a.substitute(subst),
+                                        b.substitute(subst))
 
 
 def build_murata(params):
@@ -277,13 +270,13 @@ def build_murata(params):
                     binding=binding)
     surface = _surface(family, binding)
     det = mat.det()
-    stated = _bind(_mu(_MURATA_DET[family]), binding)
+    stated = _mu(_MURATA_DET[family]).substitute(binding)
     if not _eq_on_surface(det, stated, surface):
         raise InvariantViolation("%s determinant differs from its recorded "
                                  "factorisation" % family)
     origin = {"x": rat(0)}
     a11, a22 = (a.substitute(origin) for a in (mat.a11, mat.a22))
-    eig1, eig2 = (_bind(_mu(e), binding) for e in _MURATA_EIGS[family])
+    eig1, eig2 = (_mu(e).substitute(binding) for e in _MURATA_EIGS[family])
     if not _eq_on_surface(a11 + a22, eig1 + eig2, surface):
         raise InvariantViolation("%s trace at the origin differs from the "
                                  "eigenvalue sum" % family)
@@ -412,7 +405,7 @@ def specialize(family, variant, relation, binding=None):
         raise ValueError("the %s %s recipe fixes %s; it cannot be bound"
                          % (family, variant, min(fixed)))
     try:
-        value = _bind(_mu(text), binding)
+        value = _mu(text).substitute(binding)
         relation = relation.substitute({name: value})
     except ZeroDivisionError:
         raise SubstitutionSingular("%s binding zeroes a denominator at %s = %s"
@@ -423,7 +416,7 @@ def specialize(family, variant, relation, binding=None):
     if recipe.get("limit"):
         up, mid, low = (limit_at_zero(c, "l") for c in (up, mid, low))
     if "prediv" in recipe:
-        m0 = _bind(_mu(recipe["prediv"]), binding)
+        m0 = _mu(recipe["prediv"]).substitute(binding)
         m1 = m0.substitute({"x": qv * x})
         m2 = m0.substitute({"x": qv * qv * x})
         mid = mid * (m1 / m2)
@@ -431,7 +424,7 @@ def specialize(family, variant, relation, binding=None):
         factors += (m2,)
     eq = QDiffEq(*(_cancel(c, factors, "x") for c in (up, mid, low)), "x")
     if "strip" in recipe:
-        eq = _strip_factor(eq, _bind(_mu(recipe["strip"]), binding), qv)
+        eq = _strip_factor(eq, _mu(recipe["strip"]).substitute(binding), qv)
     return eq
 
 
@@ -458,17 +451,14 @@ class KNYParams:
                                      "the only up-shift term" % family)
 
 
-class KNYOperator:
-    """Coefficients of a pencil c_plus T + c_zero + c_minus T^-1."""
-
-    __slots__ = ("family", "c_plus", "c_zero", "c_minus", "binding")
-
-    def __init__(self, family, c_plus, c_zero, c_minus, binding=None):
-        self.family = family
-        self.c_plus = c_plus
-        self.c_zero = c_zero
-        self.c_minus = c_minus
-        self.binding = dict(binding or {})
+class KNYOperator(NamedTuple):
+    """Coefficients of a pencil c_plus T + c_zero + c_minus T^-1, as an
+    immutable record; ``binding`` is as in LaxMatrix."""
+    family: str
+    c_plus: RatFun
+    c_zero: RatFun
+    c_minus: RatFun
+    binding: Mapping = MappingProxyType({})
 
 
 # Each pencil is a sum of terms: a rational coefficient times one of
@@ -553,7 +543,7 @@ def build_kny(params):
     """
     family, binding = params.family, params.binding
     try:
-        coeffs = tuple(_bind(c, binding) for c in _kny_pencil(family))
+        coeffs = tuple(c.substitute(binding) for c in _kny_pencil(family))
     except ZeroDivisionError:
         raise SubstitutionSingular(
             "binding annihilates a denominator in %s" % family)
@@ -573,11 +563,11 @@ def kny_to_equation(op, apply_gauge=False):
     """
     sides, factors = (op.c_plus, op.c_zero, op.c_minus), ()
     if any("z" in c.den.vars for c in sides):
-        factors = (_bind(_kn("z - n4"), op.binding),)
+        factors = (_kn("z - n4").substitute(op.binding),)
         sides = tuple(c * factors[0] for c in sides)
     eq = QDiffEq(*(_cancel(c, factors, "z") for c in sides), "z")
     if apply_gauge and op.family in KNY_GAUGED:
-        eq = _strip_factor(eq, _bind(_kn("q*z - n4"), op.binding),
+        eq = _strip_factor(eq, _kn("q*z - n4").substitute(op.binding),
                            op.binding.get("q", sym("q")))
     return eq
 
@@ -763,13 +753,13 @@ def verify_family(catalog, family, binding=None):
     surface = _surface(family, binding)
     subst = dict(binding)
     top = max(reference.degree, derived.degree)
+    slots = [(side, k) for side in ("P", "Z", "M") for k in range(top + 1)]
     try:
         if formula is not None:
-            subst["d"] = _bind(formula, binding)
-        refs, ders = ({(side, k): _bind(_bind(eq.coeff(side, k), extra),
-                                        surface)
-                       for side in ("P", "Z", "M") for k in range(top + 1)}
-                      for eq, extra in ((reference, subst), (derived, None)))
+            subst["d"] = formula.substitute(binding)
+        refs, ders = ({s: eq.coeff(*s).substitute(extra).substitute(surface)
+                       for s in slots}
+                      for eq, extra in ((reference, subst), (derived, {})))
     except ZeroDivisionError:
         raise SubstitutionSingular("%s binding zeroes a denominator of the "
                                    "row or its closed form" % family) from None

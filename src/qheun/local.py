@@ -10,8 +10,10 @@ is reported as resonance rather than patched with logarithms.
 
 import math
 from fractions import Fraction
+from typing import NamedTuple, Optional
 
 from .qdiff import QDiffEq
+from .symkernel import RatFun
 
 
 class DegenerateEquation(ValueError):
@@ -29,29 +31,21 @@ class UnboundParameter(ValueError):
 _LOCATIONS = ("Zero", "Infinity")
 
 
-class CharData:
-    """Quadratic c2 s^2 + c1 s + c0 for s = q^r at one boundary point.
+class CharData(NamedTuple):
+    """Quadratic c2 s^2 + c1 s + c0 for s = q^r at one boundary point,
+    as an immutable record.
 
     ``roots`` holds the nonzero admissible values of s when all three
     coefficients are numeric, and None in symbolic mode (the quadratic
     itself is then the result).  ``regularity`` is "RegularLike" when
     both extreme coefficients are nonzero and "IrregularLike" otherwise.
     """
-
-    __slots__ = ("location", "c2", "c1", "c0", "roots", "regularity")
-
-    def __init__(self, location, c2, c1, c0, roots, regularity):
-        self.location = location
-        self.c2 = c2
-        self.c1 = c1
-        self.c0 = c0
-        self.roots = roots
-        self.regularity = regularity
-
-    def __repr__(self):
-        return ("CharData(%s, c2=%s, c1=%s, c0=%s, roots=%r, %s)"
-                % (self.location, self.c2, self.c1, self.c0, self.roots,
-                   self.regularity))
+    location: str
+    c2: RatFun
+    c1: RatFun
+    c0: RatFun
+    roots: Optional[tuple]
+    regularity: str
 
 
 def exact_sqrt(f):
@@ -133,23 +127,20 @@ def char_exponents(eq: QDiffEq, at="Zero") -> CharData:
     return CharData(at, c2, c1, c0, roots, regularity)
 
 
-class SeriesSolution:
-    """Truncated local solution x^r (c[0] + c[1] x + ... + c[N] x^N).
+class SeriesSolution(NamedTuple):
+    """Truncated local solution x^r (c[0] + c[1] x + ... + c[N] x^N), as
+    an immutable record.
 
     The exponent enters as s = q^r only.  c[0] = 1.  ``sides`` keeps the
     numeric coefficient values (P, Z, M lists by degree) the series was
     computed against, for callers that rebuild its recurrence.
     """
-
-    __slots__ = ("location", "s", "coefficients", "q", "binding", "sides")
-
-    def __init__(self, location, s, coefficients, q, binding, sides):
-        self.location = location
-        self.s = s
-        self.coefficients = coefficients
-        self.q = q
-        self.binding = binding
-        self.sides = sides
+    location: str
+    s: object
+    coefficients: tuple
+    q: object
+    binding: dict
+    sides: dict
 
     def __repr__(self):
         return ("SeriesSolution(%s, s=%r, N=%d)"

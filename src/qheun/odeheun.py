@@ -6,7 +6,8 @@ held as a record of named parameters.  to_operator expands a record into
 the polynomial-row operator format of climit.HeunODE, and match_class
 runs the other way: it normalizes an operator by an affine change of
 variable plus an overall scale and reads the named parameters back off,
-or reports the obstruction as a NoMatch value.
+or reports the obstruction as a NoMatch: a one-field NamedTuple that is
+falsy and compares by its text.
 
 Conventions baked into the displays, written for the function y(z):
 
@@ -26,6 +27,7 @@ cannot collide with the small expansion parameter used by climit.
 
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 from .climit import AllZero, HeunODE, Unclassifiable, classify_ode
 from .local import exact_sqrt, quad_roots
@@ -39,22 +41,12 @@ class ConstraintViolation(ValueError):
     """Parameter record breaks an exact defining relation of its class."""
 
 
-class NoMatch:
+class NoMatch(NamedTuple):
     """Negative match_class outcome; falsy, keeps the obstruction text."""
-
-    __slots__ = ("obstruction",)
-
-    def __init__(self, obstruction):
-        object.__setattr__(self, "obstruction", obstruction)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("NoMatch is immutable")
+    obstruction: str
 
     def __bool__(self):
         return False
-
-    def __repr__(self):
-        return "NoMatch(%r)" % (self.obstruction,)
 
 
 def _coerce(value, field):
@@ -420,7 +412,7 @@ def match_class(ode: HeunODE):
     if ode.class_ is None:
         try:
             ode = classify_ode(ode)
-        except (AllZero, Unclassifiable) as exc:
+        except (AllZero, Unclassifiable, ArithmeticError) as exc:
             return NoMatch(str(exc))
     matcher = _MATCHERS.get(ode.class_)
     if matcher is None:
@@ -432,7 +424,7 @@ def match_class(ode: HeunODE):
                        "row; split off an origin power first")
     try:
         return matcher(ode)
-    except (ZeroDivisionError, ConstraintViolation, ValueError) as exc:
+    except (ArithmeticError, ValueError) as exc:
         # rows inconsistent with the declared class tag
         return NoMatch("degenerate rows for class %s: %s"
                        % (ode.class_, exc))

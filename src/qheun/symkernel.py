@@ -510,6 +510,9 @@ class RatFun:
     # -- operations --------------------------------------------------------
 
     def substitute(self, binding: dict) -> "RatFun":
+        """Simultaneous substitution; self when nothing it binds occurs."""
+        if not any(v in binding for v in self.num.vars + self.den.vars):
+            return self
         rn = self.num.substitute(binding)
         rd = self.den.substitute(binding)
         if rd.num.is_zero:

@@ -277,6 +277,14 @@ def test_classify_hypergeometric_pattern():
     assert _json(out)["class"] == "HypergeometricType"
 
 
+def test_classify_refuses_a_division_by_zero():
+    doc = {"format": EQ_FORMAT, "variable": "x", "parameters": [],
+           "convention": CONVENTION,
+           "P": {"0": "1/0"}, "Z": {"0": "1"}, "M": {"0": "1"}}
+    code, _, err = call(["classify"], stdin=json.dumps(doc))
+    assert code == 2 and "division by zero" in err
+
+
 def test_polygon_ascii_and_svg():
     doc = derive_doc("murata", "A6")
     code, out, _ = call(["polygon"], stdin=doc)

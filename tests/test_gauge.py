@@ -119,6 +119,14 @@ def test_move_factor_roundtrips_exact():
                                         apply_record(rec, m)), m)
 
 
+def test_inverse_move_factor_not_divisible():
+    # the inverse record divides P by (1 - q*g1*x), which P = 1 lacks
+    before = make_eq("1", "-(b1*x + b0)", "c*(1 - g1*x)")
+    rec = invert_record(record_move_factor("Pochhammer", P("g1")))
+    with pytest.raises(NotDivisible, match="P has no factor"):
+        apply_record(rec, before)
+
+
 # ---------------------------------------------------------------------------
 # linear strips
 

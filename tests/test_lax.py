@@ -478,9 +478,11 @@ def test_strip_equals_gauge_then_division_by_p_down(monkeypatch, catalog,
     derived = derive_equation(catalog, family, binding)
     (eq, p, q), = calls
     assert ratfun_eq(q, binding.get("q", sym("q")))
-    gauged = gauge_linear(eq, p, q)
+    # gauge_linear shifts by the symbol q; the strip shifts by the bound q
+    gauged = gauge_linear(eq, p)
     p_down = xpoly.shift_arg(xpoly.as_xpoly(p, eq.variable), rat(1) / q)
-    sides = [xpoly.divexact(list(gauged.side(n)), p_down)
+    sides = [xpoly.divexact([c.substitute({"q": q}) for c in gauged.side(n)],
+                            p_down)
              for n in ("P", "Z", "M")]
     assert equations_equal(derived, QDiffEq(*sides, eq.variable))
 
@@ -501,6 +503,27 @@ def test_a_named_factor_that_does_not_cancel_raises(monkeypatch):
                          "strip": "x - a1*t"})
     with pytest.raises(InvariantViolation, match="numerator"):
         derive_equation("murata", "A5")
+
+
+def test_pencils_are_immutable_records():
+    mat = build_murata(MurataParams("A5", {"q": 2}))
+    family, a11, a12, a21, a22, binding = mat
+    assert family == "A5" and binding == {"q": 2}
+    assert ratfun_eq(mat.det(), a11 * a22 - a12 * a21)
+    op = build_kny(KNYParams("E3b"))
+    assert op == ("E3b", op.c_plus, op.c_zero, op.c_minus, {})
+    for record, field in ((mat, "a11"), (op, "binding")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+
+
+def test_a_denominator_left_in_z_raises():
+    # z - 1 is no named factor: kny_to_equation clears only z - n4
+    z = sym("z")
+    op = lax.KNYOperator("D5", 1 / (z - 1), rat(1), rat(1))
+    assert op.binding == {}
+    with pytest.raises(InvariantViolation, match="denominator in z is left"):
+        kny_to_equation(op)
 
 
 # What the replayed derivation actually gives in each slot, written out

@@ -435,3 +435,15 @@ def test_series_repr_and_chardata_repr():
     assert isinstance(sol, SeriesSolution)
     assert "N=4" in repr(sol)
     assert isinstance(cz, CharData)
+
+
+def test_records_unpack_and_are_immutable():
+    eq = _eq("1", "-2", "1")
+    cz = char_exponents(eq, "Zero")
+    location, c2, c1, c0, roots, regularity = cz
+    assert cz == (location, c2, c1, c0, roots, regularity)
+    sol = series_solution(eq, {"q": Fraction(1, 3)}, 0, 4)
+    assert len(sol) == 6 and sol[2] is sol.coefficients
+    for record, field in ((cz, "roots"), (sol, "s")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)

@@ -323,6 +323,10 @@ def test_nomatch_is_falsy_and_immutable():
     assert "because" in repr(n)
     with pytest.raises(AttributeError):
         n.obstruction = "other"
+    # a record: compared by value, and it unpacks
+    assert n == NoMatch("because") and n != NoMatch("other")
+    (obstruction,) = n
+    assert obstruction == "because" and n == ("because",)
 
 
 # -- randomized round trips ------------------------------------------------
@@ -376,6 +380,10 @@ _entry = st.integers(min_value=-3, max_value=3)
 @given(rows=st.tuples(*(st.tuples(*([_entry] * 3)) for _ in range(3))))
 # a complex origin exponent makes the biconfluent stretch non-real
 @example(rows=((1, 0, 0), (0, 0, 1), (1, 0, 0)))
+# rationals beyond the float range overflow in classify_ode's quad_roots
+@example(rows=((F(10**400) + 1, 3, 1), (0, 1, 0), (0, 1, 1)))
+# and in the triconfluent cube root
+@example(rows=((F(10**400), 0, 0, 0), (0, 1, 0, -1), (0, 0, 1, 1)))
 def test_match_total_on_arbitrary_rows(rows):
     second, first, zeroth = rows
     if not any(any(r) for r in rows):

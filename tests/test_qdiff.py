@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from qheun import xpoly
 from qheun.qdiff import (
-    NAMED_FORMS, QDiffEq, classify,
+    NAMED_FORMS, QDiffEq, ThreeTermRelation, classify,
     equations_equal, equations_proportional, newton_diagram, render_diagram)
 from qheun.symkernel import parse_expr, rat, sym
 
@@ -45,6 +45,8 @@ def test_trailing_zeros_trimmed():
 def test_all_zero_rejected():
     with pytest.raises(ValueError):
         QDiffEq([rat(0)], [], [rat(0), rat(0)])
+    with pytest.raises(ValueError, match="identically zero"):
+        ThreeTermRelation(0, rat(0), 0)
 
 
 def test_variable_in_coefficient_rejected():

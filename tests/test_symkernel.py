@@ -409,6 +409,8 @@ def test_parse_errors():
         parse_expr("q + + q", ["q"])
     except ParseError as e:
         assert e.offset == 4
+    with pytest.raises(ParseError, match="division by zero"):
+        parse_expr("1/0", [])
 
 
 def test_parse_nesting_is_bounded():

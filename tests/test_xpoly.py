@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from qheun import xpoly
@@ -57,6 +58,13 @@ def test_divmod_x_is_division_with_remainder(a, b):
     assert xpoly.degree(rem) < xpoly.degree(b)
     assert _value(a) == _value(quot) * _value(b) + _value(rem)
     assert xpoly.eq(xpoly.divexact(xpoly.mul(a, b), b), a)
+
+
+def test_reverse_and_division_refuse_bad_arguments():
+    with pytest.raises(ValueError, match="below actual degree"):
+        xpoly.reverse([RatFun(1), RatFun(2), RatFun(3)], 1)
+    with pytest.raises(ZeroDivisionError):
+        xpoly.divmod_x([RatFun(1)], [])
 
 
 def test_trim_is_the_boundary():
