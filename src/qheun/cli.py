@@ -216,15 +216,6 @@ def _emit_json(obj, path):
     _emit(json.dumps(obj, indent=2) + "\n", path)
 
 
-def _bind_equation(eq, binding):
-    values = {name: as_ratfun(v) for name, v in binding.items()}
-    rows = []
-    for side in ("P", "Z", "M"):
-        rows.append([eq.coeff(side, k).substitute(values)
-                     for k in range(eq.degree + 1)])
-    return qdiff.QDiffEq(*rows, eq.variable)
-
-
 # -- subcommands -----------------------------------------------------------
 
 def _cmd_derive(args):
@@ -301,7 +292,7 @@ def _cmd_exponents(args):
     from . import local
     eq = read_equation(_load_json(args.infile))
     if args.bind:
-        eq = _bind_equation(eq, read_binding(_load_json(args.bind)))
+        eq = eq.substitute(read_binding(_load_json(args.bind)))
     at = "Zero" if args.at == "zero" else "Infinity"
     ch = local.char_exponents(eq, at=at)
     doc = {"format": "qheun-exponents/1", "location": ch.location,

@@ -484,13 +484,10 @@ def crosscheck(fam: EpsilonFamily, eps, xs, N=12) -> float:
 
 def _family_from_row(catalog, family, binding):
     from .lax import reference_equation   # only these presets need lax
-    eq = reference_equation(catalog, family)
-    bound = {name: parse_expr(text, {"eps"}) for name, text in binding.items()}
-    rows = []
-    for side in ("P", "Z", "M"):
-        rows.append(tuple(eq.coeff(side, k).substitute(bound)
-                          for k in range(3)))
-    return EpsilonFamily(plus=rows[0], zero=rows[1], minus=rows[2])
+    eq = reference_equation(catalog, family).substitute(
+        {name: parse_expr(text, {"eps"}) for name, text in binding.items()})
+    return EpsilonFamily(*([eq.coeff(side, k) for k in range(3)]
+                           for side in ("P", "Z", "M")))
 
 
 def _heun_preset():

@@ -396,8 +396,7 @@ def specialize(family, variant, relation, binding=None):
     recipe = _MURATA_RECIPES.get((family, variant))
     if recipe is None:
         raise ValueError("family %s has no %r variant" % (family, variant))
-    binding = {name: as_ratfun(value)
-               for name, value in (binding or {}).items()}
+    binding = binding or {}
     qv = binding.get("q", _mu("q"))
     name, text = recipe["set"]
     fixed = {name, "l" if recipe.get("limit") else name} & binding.keys()

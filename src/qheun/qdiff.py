@@ -102,6 +102,11 @@ class QDiffEq:
             xpoly.scale(self.M, factor),
             self.variable)
 
+    def substitute(self, binding) -> "QDiffEq":
+        """Bind parameters in every coefficient (the shift variable stays)."""
+        return QDiffEq(*([c.substitute(binding) for c in side]
+                         for side in (self.P, self.Z, self.M)), self.variable)
+
     @staticmethod
     def from_scalar_coefficients(P, Z, M, variable="x"):
         """Build an equation from three rational functions that still
@@ -257,11 +262,13 @@ def _render_ascii(d: NewtonDiagram) -> str:
 
 def _render_svg(d: NewtonDiagram) -> str:
     top = max(2, max((row for _, row in d.filled), default=0))
-    parts = ['<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 200 160">']
+    height = max(160, 40 * top + 40)
+    parts = ['<svg xmlns="http://www.w3.org/2000/svg" '
+             'viewBox="0 0 200 %d">' % height]
     for row in range(0, top + 1):
         for ci, col in enumerate(COLUMNS):
             cx = 40 + 40 * ci
-            cy = 140 - 40 * row
+            cy = height - 20 - 40 * row
             if (col, row) in d.filled:
                 parts.append(
                     '<circle cx="%d" cy="%d" r="5" fill="black"/>' % (cx, cy))
@@ -273,7 +280,7 @@ def _render_svg(d: NewtonDiagram) -> str:
         cmds = []
         for k, (ci, row) in enumerate(d.hull):
             x = 40 + 40 * ci
-            y = 140 - 40 * row
+            y = height - 20 - 40 * row
             cmds.append("%s %d %d" % ("M" if k == 0 else "L", x, y))
         parts.append('<path d="%s Z" fill="none" stroke="black"/>'
                      % " ".join(cmds))

@@ -15,6 +15,7 @@ qheun._termops, re-exported here as ``termops``.  Constants take short
 paths with the same results: a constant factor only scales the other
 operand, a constant denominator is divided into the numerator, and
 substitution multiplies by power tables once per bound-exponent group.
+Substitution, products and quotients build (and normalise) one RatFun.
 """
 
 from __future__ import annotations
@@ -293,35 +294,8 @@ class MPoly:
         return Fraction(0) if total is None else total
 
     def substitute(self, binding: dict) -> "RatFun":
-        """Simultaneous substitution of some variables by rational functions.
-
-        Terms with equal bound exponents share one power-table product.
-        """
-        bound = [v for v in self.vars if v in binding]
-        if not bound or self.is_zero:
-            return RatFun(self)
-        rfs = {v: as_ratfun(binding[v]) for v in bound}
-        idx = [self.vars.index(v) for v in bound]
-        emax = {v: max(e[i] for e in self.terms) for v, i in zip(bound, idx)}
-        # shared denominator prod(den_v^emax_v); numerators via power tables
-        npow = {v: _power_table(rfs[v].num, emax[v]) for v in bound}
-        dpow = {v: _power_table(rfs[v].den, emax[v]) for v in bound}
-        keep = [i for i in range(len(self.vars)) if self.vars[i] not in binding]
-        keep_vars = tuple(self.vars[i] for i in keep)
-        groups: dict = {}
-        for e, c in self.terms.items():
-            kept = groups.setdefault(tuple(e[i] for i in idx), {})
-            kept[tuple(e[i] for i in keep)] = c
-        total = _MP_ZERO
-        for be, kept in groups.items():
-            part = MPoly._make(keep_vars, kept)
-            for v, k in zip(bound, be):
-                part = part * npow[v][k] * dpow[v][emax[v] - k]
-            total = total + part
-        den = _MP_ONE
-        for v in bound:
-            den = den * dpow[v][emax[v]]
-        return RatFun(total, den)
+        """Simultaneous substitution of some variables by rational functions."""
+        return _substitute(self, _MP_ONE, binding)
 
     # -- printing ----------------------------------------------------------
 
@@ -360,6 +334,50 @@ def _power_table(p: MPoly, kmax: int):
     return out
 
 
+def _substitute(num: MPoly, den: MPoly, binding: dict) -> "RatFun":
+    """num/den with the names in binding replaced, as one RatFun: both parts
+    are multiplied by prod(den_v^e_v), e_v the top power of v in either, so
+    the values' denominators cancel; equal bound exponents share products."""
+    bound = [v for v in sorted({*num.vars, *den.vars}) if v in binding]
+    rfs = {v: as_ratfun(binding[v]) for v in bound}
+    emax = {v: max(num.degree_in(v), den.degree_in(v)) for v in bound}
+    npow = {v: _power_table(rfs[v].num, emax[v]) for v in bound}
+    dpow = {v: _power_table(rfs[v].den, emax[v]) for v in bound}
+    parts = []
+    for p in (num, den):
+        mine = [v for v in p.vars if v in binding]
+        idx = [p.vars.index(v) for v in mine]
+        keep = [i for i, v in enumerate(p.vars) if v not in binding]
+        keep_vars = tuple(p.vars[i] for i in keep)
+        groups: dict = {}
+        for e, c in p.terms.items():
+            kept = groups.setdefault(tuple(e[i] for i in idx), {})
+            kept[tuple(e[i] for i in keep)] = c
+        total = _MP_ZERO
+        for be, kept in groups.items():
+            part = MPoly._make(keep_vars, kept)
+            for v, k in zip(mine, be):
+                part = part * npow[v][k] * dpow[v][emax[v] - k]
+            total = total + part
+        for v in bound:
+            if v not in mine:
+                total = total * dpow[v][emax[v]]
+        parts.append(total)
+    if parts[1].is_zero:
+        raise ZeroDivisionError(
+            "denominator vanishes identically under substitution")
+    return RatFun(*parts)
+
+
+def _product(a_num, a_den, b_num, b_den) -> "RatFun":
+    """(a_num/a_den)*(b_num/b_den) as one RatFun; equal parts cancel first."""
+    if a_num == b_den and not a_num.is_const():
+        a_num, b_den = _MP_ONE, _MP_ONE
+    if b_num == a_den and not b_num.is_const():
+        b_num, a_den = _MP_ONE, _MP_ONE
+    return RatFun(a_num * b_num, a_den * b_den)
+
+
 _MP_ZERO = MPoly()
 _MP_ONE = MPoly((), {(): Fraction(1)})
 
@@ -373,7 +391,8 @@ class RatFun:
     positive graded-lex leading coefficient.  A constant denominator
     becomes 1 directly, its inverse scaling the numerator.  Equality is
     defined by cross-multiplication, so normalization never changes the
-    value.
+    value.  ``substitute``, ``*`` and ``/`` build their result once;
+    division multiplies by the swapped parts, building no reciprocal.
     """
 
     __slots__ = ("num", "den")
@@ -473,14 +492,7 @@ class RatFun:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        # cheap structural cancellations to slow coefficient growth
-        a_num, a_den = self.num, self.den
-        b_num, b_den = other.num, other.den
-        if a_num == b_den and not a_num.is_const():
-            a_num, b_den = _MP_ONE, _MP_ONE
-        if b_num == a_den and not b_num.is_const():
-            b_num, a_den = _MP_ONE, _MP_ONE
-        return RatFun(a_num * b_num, a_den * b_den)
+        return _product(self.num, self.den, other.num, other.den)
 
     __rmul__ = __mul__
 
@@ -490,7 +502,7 @@ class RatFun:
             return NotImplemented
         if other.num.is_zero:
             raise ZeroDivisionError("division by the zero rational function")
-        return self * RatFun(other.den, other.num)
+        return _product(self.num, self.den, other.den, other.num)
 
     def __rtruediv__(self, other):
         other = _coerce(other)
@@ -513,12 +525,7 @@ class RatFun:
         """Simultaneous substitution; self when nothing it binds occurs."""
         if not any(v in binding for v in self.num.vars + self.den.vars):
             return self
-        rn = self.num.substitute(binding)
-        rd = self.den.substitute(binding)
-        if rd.num.is_zero:
-            raise ZeroDivisionError(
-                "denominator vanishes identically under substitution")
-        return rn / rd
+        return _substitute(self.num, self.den, binding)
 
     def limit_at_zero(self, var: str) -> "RatFun":
         if self.num.is_zero:
@@ -611,8 +618,7 @@ def ratfun_eq(lhs, rhs) -> bool:
 
 def substitute(target, binding: dict) -> RatFun:
     """Simultaneous substitution parameter -> RatFun (no chaining)."""
-    return as_ratfun(target).substitute(
-        {k: as_ratfun(v) for k, v in binding.items()})
+    return as_ratfun(target).substitute(binding)
 
 
 def limit_at_zero(target, var: str) -> RatFun:

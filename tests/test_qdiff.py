@@ -1,6 +1,7 @@
 """Equation container, support diagrams, and the named-form classifier."""
 
 import itertools
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -61,6 +62,20 @@ def test_immutable():
     e = eq_from_pattern({("P", 0)})
     with pytest.raises(AttributeError):
         e.P = ()
+
+
+def test_substitute_binds_every_slot_and_keeps_the_variable():
+    e = QDiffEq([P("a*q"), P("b/(q + 1)"), P("q - 2")], [P("a + b")],
+                [rat(0), P("(a - b)/q")], variable="z")
+    binding = {"q": rat(2), "a": P("b + t"), "b": P("t")}
+    bound = e.substitute(binding)
+    assert bound.variable == "z"
+    # q - 2 vanishes, so the P side loses its top slot
+    assert bound.degree == 1 and len(bound.P) == 2
+    for side, k in itertools.product("PZM", range(e.degree + 1)):
+        assert bound.coeff(side, k) == e.coeff(side, k).substitute(binding)
+    # simultaneous: a - b -> (b + t) - t
+    assert str(bound.coeff("M", 1)) == "1/2*b"
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +176,25 @@ def test_render_svg_shape():
     assert '<path d="M 40 140 L 120 140 L 120 60 L 40 60 Z"' in svg
     assert svg == render_diagram(d, format="svg")
     assert svg.count("<circle") == 9
+
+
+def test_render_svg_keeps_tall_diagrams_in_the_picture():
+    # degree 4, the shape a linear gauge gives the kny D5 row
+    d = newton_diagram(QDiffEq([rat(0)] * 4 + [rat(1)], [rat(1)],
+                               [rat(1), rat(0), rat(2)]))
+    svg = render_diagram(d, format="svg")
+    width, height = map(int, re.search(
+        r'viewBox="0 0 (\d+) (\d+)"', svg).groups())
+    assert (width, height) == (200, 200)
+    circles = re.findall(r'<circle cx="(-?\d+)" cy="(-?\d+)"', svg)
+    assert len(circles) == 15
+    path = re.search(r'<path d="([^"]*) Z"', svg).group(1)
+    vertices = re.findall(r"[ML] (-?\d+) (-?\d+)", path)
+    assert len(vertices) == len(d.hull) == 4
+    for x, y in circles + vertices:
+        assert 0 <= int(x) <= width and 0 <= int(y) <= height
+    # row 0 stays 20 above the bottom edge, as at degree <= 3
+    assert '<circle cx="80" cy="180" r="5" fill="black"/>' in svg
 
 
 def test_render_unknown_format():

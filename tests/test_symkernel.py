@@ -4,7 +4,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from qheun.symkernel import (MAX_BITS, MAX_NESTING, MAX_TERMS,
                              DivergesAtZero, MPoly,
@@ -337,6 +337,77 @@ def test_grouped_substitution_matches_the_per_term_loop(p, binding):
     for g, w in ((got.num, want.num), (got.den, want.den)):
         assert g.vars == w.vars
         assert g.terms == w.terms
+
+
+# -- quotients: substitution and division against evaluation -----------------
+
+@st.composite
+def quotients(draw):
+    """A quotient whose numerator and denominator both use x and y, at
+    different top powers: x^3 only above, y^3 only below."""
+    x, y = MPoly.var("x"), MPoly.var("y")
+    num = draw(mpolys(names=("x", "y"), max_terms=3, max_exp=2)) + x ** 3 * y
+    den = draw(mpolys(names=("y", "z"), max_terms=3, max_exp=2)) + x * y ** 3
+    return RatFun(num, den)
+
+
+@st.composite
+def values(draw):
+    """A rational function of y, z and w, as a bound value."""
+    den = draw(mpolys(names=("w", "z"), max_terms=2, max_exp=2).filter(bool))
+    return RatFun(draw(mpolys(names=("y", "w"), max_terms=3, max_exp=2)), den)
+
+
+points = st.fixed_dictionaries(
+    {v: st.builds(Fraction, st.integers(-9, 9), st.integers(1, 7))
+     for v in ("x", "y", "z", "w")})
+
+
+def _value_at(f, point):
+    """f at point, or None where a denominator vanishes."""
+    try:
+        return f.evaluate(point)
+    except ZeroDivisionError:
+        return None
+
+
+@settings(max_examples=80, deadline=None)
+@given(quotients(), values(), values(), points)
+def test_quotient_substitution_commutes_with_evaluation(f, bx, by, point):
+    binding = {"x": bx, "y": by}
+    inner = {v: _value_at(binding[v], point) for v in binding}
+    assume(None not in inner.values())
+    want = _value_at(f, {**point, **inner})
+    assume(want is not None)
+    # the result's denominator is f's at the bound values times powers
+    # of the values' denominators, all nonzero at point
+    assert f.substitute(binding).evaluate(point) == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(quotients(), quotients(), points)
+def test_division_commutes_with_evaluation(f, g, point):
+    a, b = _value_at(f, point), _value_at(g, point)
+    assume(a is not None and b)
+    assert (f / g).evaluate(point) == a / b
+    if a:
+        assert (g / f).evaluate(point) == b / a
+
+
+def test_substitution_and_division_build_one_ratfun():
+    f = _V("(x^3*y + z)/(x*y^3 - 2*z)")
+    g = _V("(y + 1)/(z - x)")
+    binding = {"x": _V("y/(w + 1)"), "y": _V("(z - 1)/(w^2 + z)")}
+    with pytest.MonkeyPatch.context() as mp:
+        built = _counter(mp, RatFun, "__init__")
+        sub = f.substitute(binding)
+        assert len(built) == 1
+        quo = f / g
+        assert len(built) == 2
+    assert ratfun_eq(quo * g, f)
+    point = {"w": Fraction(2), "y": Fraction(5), "z": Fraction(3)}
+    inner = {v: binding[v].evaluate(point) for v in binding}
+    assert sub.evaluate(point) == f.evaluate({**point, **inner})
 
 
 def test_limit_at_zero():
