@@ -458,9 +458,11 @@ def crosscheck(fam: EpsilonFamily, eps, xs, N=12) -> float:
     returned.  The comparison drops both power-law prefactors, so it is
     meaningful when the chosen q-branch tends to the exponent-0 branch
     (true for every shipped preset, whose unit root is exact).  The gaps
-    stay exact up to one float conversion of their maximum, and a nonzero
-    maximum below the float range raises ValueError, not 0.0.
+    stay exact up to one float conversion of their maximum; an empty xs
+    or a nonzero maximum below the float range raises ValueError, not 0.0.
     """
+    if not xs:
+        raise ValueError("the sample xs is empty: no point to compare at")
     eps = Fraction(eps) if not isinstance(eps, (int, Fraction)) else eps
     eq = fam.equation(eps)
     ch = char_exponents(eq, at="Zero")
@@ -473,7 +475,7 @@ def crosscheck(fam: EpsilonFamily, eps, xs, N=12) -> float:
     c = sol.coefficients
     gap = max((abs(sum(cn * x ** n for n, cn in enumerate(c))
                    - sum(dn * x ** n for n, dn in enumerate(d)))
-               for x in xs), default=0)
+               for x in xs))
     dev = float(gap)
     if gap and not dev:
         raise ValueError("a nonzero gap is below the float range")

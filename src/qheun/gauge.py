@@ -4,7 +4,9 @@ Each operation rewrites the coefficient triple (P, Z, M) so that the new
 equation is satisfied by the old solutions multiplied or divided by a
 gauge factor (a power of x, an infinite product, or a function u with
 u(qx) = p(x)u(x)).  The factors themselves are never represented
-symbolically; only their effect on coefficients is.
+symbolically; only their effect on coefficients is.  Every cleared move
+(the power and factor moves and their inverses) is ``QDiffEq.move_factor``;
+``gauge_linear`` is the uncleared form.
 """
 
 from fractions import Fraction
@@ -26,17 +28,18 @@ class DomainError(ValueError):
 def _q_power(lam):
     """An exact stand-in for q**lam.
 
-    Integer exponents give a true power of q.  Any other exponent is
-    represented by a fresh adjoined parameter whose name encodes lam, so
-    the result stays exact and the inverse uses the same parameter.
+    Integer exponents give a true power of q.  A fraction a/b in lowest
+    terms gives r**a, with one adjoined parameter r = q_to_1_over_b per
+    denominator, so exponents over one denominator compose exactly.  r**b
+    is not rewritten to q: 1/2 + 1/2 leaves q_to_1_over_2^2.  A string
+    exponent names its own parameter q_to_<lam>.
     """
     if isinstance(lam, str):
         return sym("q_to_" + lam)
     f = Fraction(lam)
     if f.denominator == 1:
         return sym("q") ** int(f)
-    tag = ("%d_over_%d" % (f.numerator, f.denominator)).replace("-", "m")
-    return sym("q_to_" + tag)
+    return sym("q_to_1_over_%d" % f.denominator) ** f.numerator
 
 
 def gauge_power(eq: QDiffEq, lam) -> QDiffEq:
@@ -44,31 +47,10 @@ def gauge_power(eq: QDiffEq, lam) -> QDiffEq:
 
     This is the coefficient action of splitting a power of x out of the
     unknown: writing the old unknown as x^lam times the new one yields
-    exactly this equation for the new unknown.
+    exactly this equation for the new unknown.  It is the cleared move
+    ``QDiffEq.move_factor`` with the constant p = q^lam.
     """
-    return _scale_ends(eq, _q_power(lam))
-
-
-def _scale_ends(eq, s):
-    """P times s and M over s."""
-    return QDiffEq(xpoly.scale(eq.P, s), eq.Z,
-                   xpoly.scale(eq.M, as_ratfun(1) / s), eq.variable)
-
-
-def _move_divisors(kind, alpha, variable):
-    """(divisor removed from M, factor gained by P) for a factor move."""
-    alpha = as_ratfun(alpha)
-    if variable in alpha.variables():
-        raise ValueError("factor parameter must not contain the variable")
-    q = sym("q")
-    if kind == "Pochhammer":
-        # trimmed, since alpha = 0 leaves the constant factor 1
-        return xpoly.trim([1, -alpha]), xpoly.trim([1, -q * alpha])
-    if kind == "Theta":
-        if alpha.is_zero:
-            raise NotDivisible("zero factor cannot be removed")
-        return [as_ratfun(0), alpha], [as_ratfun(0), q * alpha]
-    raise ValueError("unknown factor kind %r" % (kind,))
+    return eq.move_factor([_q_power(lam)], sym("q"))
 
 
 def gauge_move_factor(eq: QDiffEq, kind, alpha) -> QDiffEq:
@@ -76,26 +58,33 @@ def gauge_move_factor(eq: QDiffEq, kind, alpha) -> QDiffEq:
 
     kind "Pochhammer" removes (1 - alpha*x) from M and multiplies P by
     (1 - q*alpha*x); kind "Theta" removes alpha*x from M and multiplies P
-    by q*alpha*x.  The division must be exact or NotDivisible is raised.
+    by q*alpha*x.  This is ``QDiffEq.move_factor`` with p(x) the factor P
+    gains.  The division must be exact or NotDivisible is raised.
     """
-    out_div, in_fac = _move_divisors(kind, alpha, eq.variable)
-    try:
-        new_m = xpoly.divexact(eq.M, out_div)
-    except ValueError:
-        raise NotDivisible(
-            "M has no factor matching %s(alpha=%s)" % (kind, alpha))
-    return QDiffEq(xpoly.mul(eq.P, in_fac), eq.Z, new_m, eq.variable)
+    return _move_factor(eq, kind, alpha, back=False)
 
 
-def _move_factor_back(eq: QDiffEq, kind, alpha) -> QDiffEq:
-    """Inverse of gauge_move_factor: the factor returns from P to M."""
-    out_div, in_fac = _move_divisors(kind, alpha, eq.variable)
+def _move_factor(eq, kind, alpha, back):
+    """gauge_move_factor, or with ``back`` its inverse: the factor
+    returns from P to M."""
+    a = as_ratfun(alpha)
+    if eq.variable in a.variables():
+        raise ValueError("factor parameter must not contain the variable")
+    q = sym("q")
+    if kind == "Pochhammer":
+        # trimmed, since alpha = 0 leaves the constant factor 1
+        p = xpoly.trim([1, -q * a])
+    elif kind == "Theta":
+        if a.is_zero:
+            raise NotDivisible("zero factor cannot be removed")
+        p = [as_ratfun(0), q * a]
+    else:
+        raise ValueError("unknown factor kind %r" % (kind,))
     try:
-        new_p = xpoly.divexact(eq.P, in_fac)
+        return eq.move_factor(p, q, back=back)
     except ValueError:
-        raise NotDivisible(
-            "P has no factor matching %s(alpha=%s)" % (kind, alpha))
-    return QDiffEq(new_p, eq.Z, xpoly.mul(eq.M, out_div), eq.variable)
+        raise NotDivisible("%s has no factor matching %s(alpha=%s)"
+                           % ("P" if back else "M", kind, alpha))
 
 
 def gauge_linear(eq: QDiffEq, p) -> QDiffEq:
@@ -207,15 +196,10 @@ def invert_record(rec: GaugeRecord) -> GaugeRecord:
 def apply_record(rec: GaugeRecord, eq: QDiffEq) -> QDiffEq:
     kind = rec.kind
     if kind == "Power":
-        (lam,) = rec.payload
-        if rec.inverted:
-            return _scale_ends(eq, as_ratfun(1) / _q_power(lam))
-        return gauge_power(eq, lam)
+        return eq.move_factor([_q_power(*rec.payload)], sym("q"),
+                              back=rec.inverted)
     if kind == "MoveFactor":
-        fkind, alpha = rec.payload
-        if rec.inverted:
-            return _move_factor_back(eq, fkind, alpha)
-        return gauge_move_factor(eq, fkind, alpha)
+        return _move_factor(eq, *rec.payload, back=rec.inverted)
     if kind == "Linear":
         (p,) = rec.payload
         if rec.inverted:

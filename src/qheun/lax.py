@@ -3,11 +3,12 @@
 Two catalogs are provided.  The first ("murata") holds 2x2 matrix pencils
 A(x) for first-order systems Y(qx) = A(x) Y(x); eliminating the second
 component of Y leaves a three-term relation for the first, and a
-parameter restriction followed by an exponential-factor strip turns the
-relation into a polynomial-coefficient equation.  The second ("kny")
-holds first-order operator pencils in the shift z -> qz together with an
-auxiliary scalar g; freezing the pencil's extra variable f at its catalog
-value n4 and clearing denominators again leaves a three-term equation.
+parameter restriction followed by an exponential-factor strip (the
+cleared linear gauge ``QDiffEq.move_factor``) turns the relation into a
+polynomial-coefficient equation.  The second ("kny") holds first-order
+operator pencils in the shift z -> qz together with an auxiliary scalar
+g; freezing the pencil's extra variable f at its catalog value n4 and
+clearing denominators again leaves a three-term equation.
 
 No factor is searched for: ``_cancel`` divides out, exactly, only the
 factors each construction put in a denominator (the root l of a12(x) and
@@ -331,17 +332,13 @@ def _cancel(r, factors, variable):
 def _strip_factor(eq, p, q):
     """Divide the unknown by u with u(qx) = p(x) u(x): P*p(x), Z, M/p(x/q).
 
-    This is the linear gauge with the factor p(x/q) all sides then share
-    cleared; ``q`` is the symbol q or its bound value.  Raises
-    InvariantViolation when p(x/q) does not divide M.
+    This is ``QDiffEq.move_factor``; ``q`` is the symbol q or its bound
+    value.  Raises InvariantViolation when p(x/q) does not divide M.
     """
-    p_x = xpoly.as_xpoly(p, eq.variable)
-    p_down = xpoly.shift_arg(p_x, as_ratfun(1) / q)
     try:
-        m = xpoly.divexact(eq.M, p_down)
+        return eq.move_factor(p, q)
     except ValueError:
         raise InvariantViolation("p(%s/q) does not divide M" % eq.variable)
-    return QDiffEq(xpoly.mul(eq.P, p_x), eq.Z, m, eq.variable)
 
 
 # Recipes for turning the generic relation into the summary-row equation.

@@ -104,8 +104,24 @@ class QDiffEq:
 
     def substitute(self, binding) -> "QDiffEq":
         """Bind parameters in every coefficient (the shift variable stays)."""
+        # coerced once here, not once per coefficient
+        binding = {name: as_ratfun(v) for name, v in binding.items()}
         return QDiffEq(*([c.substitute(binding) for c in side]
                          for side in (self.P, self.Z, self.M)), self.variable)
+
+    def move_factor(self, p, q, back=False) -> "QDiffEq":
+        """The cleared linear gauge u(qx) = p(x) u(x): the unknown over u
+        gives (P*p(x), Z, M/p(x/q)), and with ``back`` the unknown times u
+        gives (P/p(x), Z, M*p(x/q)).  p is a nonzero polynomial in the shift
+        variable (a list or a RatFun); q is the symbol q or its bound value.
+        ValueError when a division is not exact."""
+        p_x = xpoly.as_xpoly(p, self.variable)
+        p_down = xpoly.shift_arg(p_x, as_ratfun(1) / q)
+        if back:
+            return QDiffEq(xpoly.divexact(self.P, p_x), self.Z,
+                           xpoly.mul(self.M, p_down), self.variable)
+        return QDiffEq(xpoly.mul(self.P, p_x), self.Z,
+                       xpoly.divexact(self.M, p_down), self.variable)
 
     @staticmethod
     def from_scalar_coefficients(P, Z, M, variable="x"):

@@ -306,6 +306,18 @@ def test_gauge_power_round_trip():
     assert _json(back) == _json(doc)
 
 
+def test_gauge_fractional_power_round_trip():
+    # both exponents are powers of q_to_1_over_2, so the pair cancels
+    doc = derive_doc("murata", "A7")
+    code, half, _ = call(["gauge", "--kind", "power", "--exponent", "1/2"],
+                         stdin=doc)
+    assert code == 0 and "q_to_1_over_2" in half
+    code, back, _ = call(["gauge", "--kind", "power", "--exponent=-1/2"],
+                         stdin=half)
+    assert code == 0
+    assert back == doc
+
+
 def test_gauge_invert_is_an_involution():
     doc = derive_doc("kny", "A1w8")
     code, once, _ = call(["gauge", "--kind", "invert"], stdin=doc)

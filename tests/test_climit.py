@@ -431,6 +431,12 @@ def test_crosscheck_refuses_a_gap_below_the_float_range():
         crosscheck(preset_family("heun"), F(1, 10 ** 400), (F(1, 10),), N=12)
 
 
+def test_crosscheck_refuses_an_empty_sample():
+    # no point, no gap: 0.0 would read as a perfect match
+    with pytest.raises(ValueError, match="sample xs is empty"):
+        crosscheck(preset_family("heun"), F(1, 100), (), N=12)
+
+
 # -- numeric fallback ------------------------------------------------------
 
 def test_richardson_converging():

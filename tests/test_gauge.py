@@ -1,6 +1,7 @@
 """Gauge transformations: coefficient actions, inverses, numeric factors."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -59,6 +60,19 @@ def test_power_symbolic_exponent_roundtrip():
     rec = record_power("l")
     back = apply_record(invert_record(rec), apply_record(rec, SAMPLE))
     assert equations_equal(back, SAMPLE)
+
+
+def test_fractional_powers_over_one_denominator_compose():
+    # q^(1/2) and q^(-1/2) are powers of the one symbol q_to_1_over_2
+    half = gauge_power(SAMPLE, Fraction(1, 2))
+    assert half.coeff("P", 2) == sym("q_to_1_over_2")
+    assert equations_equal(gauge_power(half, Fraction(-1, 2)), SAMPLE)
+    assert equations_equal(
+        gauge_power(gauge_power(SAMPLE, Fraction(3, 2)), Fraction(-1, 2)),
+        gauge_power(half, Fraction(1, 2)))
+    # q_to_1_over_2^2 is not rewritten to q
+    assert not equations_equal(gauge_power(half, Fraction(1, 2)),
+                               gauge_power(SAMPLE, 1))
 
 
 def test_power_preserves_classification():

@@ -1,13 +1,15 @@
 """Catalog derivations: invariants, elimination, strips, recorded rows."""
 
 from fractions import Fraction
+import contextlib
+import io
 import json
 import random
 
 import pytest
 
 from qheun import lax, xpoly
-from qheun.cli import write_equation
+from qheun.cli import run, write_equation
 from qheun.gauge import gauge_linear
 from qheun.lax import (KNY_FAMILIES, KNY_GAUGED, KNYParams, InvariantViolation,
                        MURATA_FAMILIES, MurataParams, SubstitutionSingular,
@@ -626,6 +628,61 @@ def test_verify_kny_with_numeric_bindings(family):
         got = {(d["side"], d["degree"]) for d in report["discrepancies"]}
         assert got == set(want_slots)
         done += 1
+
+
+# -- seeded slips: the failure paths of the catalog checks -------------------
+
+@pytest.fixture
+def fresh_rows():
+    # the rows are cached per family; a seeded slip must not outlive its test
+    lax.reference_equation.cache_clear()
+    yield
+    lax.reference_equation.cache_clear()
+
+
+def _seed_a4w(monkeypatch, slot, text):
+    row = list(lax._KNY_ROWS["A4w"])
+    row["PZM".index(slot)] = text
+    monkeypatch.setitem(lax._KNY_ROWS, "A4w", tuple(row))
+
+
+def _slots(report):
+    return {(d["side"], d["degree"]) for d in report["discrepancies"]}
+
+
+def test_verify_reports_an_uncorrected_sign_slip(monkeypatch, fresh_rows):
+    # the A4w M slot as transcribed, before its -q correction
+    _seed_a4w(monkeypatch, "M", "q*n1*n2*n3*(z - n4)")
+    report = verify_family("kny", "A4w")
+    assert report["match"] is False
+    assert report["accessoryMap"] == "asPrinted"
+    assert _slots(report) == {("M", 0), ("M", 1)}
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert run(["verify", "--catalog", "kny", "--family", "A4w"]) == 1
+    assert '"match": false' in out.getvalue()
+
+
+def test_verify_reports_an_unresolved_accessory_slot(monkeypatch,
+                                                     fresh_rows):
+    _seed_a4w(monkeypatch, "Z",
+              "-n1*z^2 + d*z - k1^2*k2*(n5 + n6)/(n5*n6*n7*n8)")
+    report = verify_family("kny", "A4w")
+    assert report["match"] is False
+    assert report["accessoryMap"] == "unresolved"
+    assert _slots(report) == {("Z", 1)}
+
+
+@pytest.mark.parametrize("table,value,message", [
+    ("_MURATA_DET", "k1*k2*x*(x - a1*t)*(x + a2*t)", "determinant differs"),
+    ("_MURATA_EIGS", ("th1*t + 1", "0"), "trace at the origin"),
+    ("_MURATA_EIGS", ("th1*t + 1", "-1"), "eigenvalue product"),
+])
+def test_build_murata_refuses_a_broken_identity(monkeypatch, fresh_rows,
+                                                table, value, message):
+    monkeypatch.setitem(getattr(lax, table), "A5", value)
+    with pytest.raises(InvariantViolation, match=message):
+        build_murata(MurataParams("A5"))
 
 
 # -- supports and taxonomy of the derived equations -------------------------

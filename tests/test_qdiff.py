@@ -115,6 +115,40 @@ def test_from_scalar_param_denominator_stays_inside():
 
 
 # ---------------------------------------------------------------------------
+# the cleared linear gauge
+
+_ANY = st.sampled_from(["0", "1", "-2", "3/5", "t", "a/b", "q*t - 1",
+                        "1/(q + 1)", "k1*a - c"]).map(P)
+_NONZERO = _ANY.filter(bool)
+_XPOLY = st.builds(lambda low, top: low + [top],
+                   st.lists(_ANY, max_size=2), _NONZERO)
+
+
+@given(P_=st.lists(_ANY, max_size=3), Z=_XPOLY,
+       M0=st.lists(_ANY, max_size=3), p=_XPOLY,
+       q=st.sampled_from([sym("q"), rat(3, 2), rat(-2)]))
+def test_move_factor_is_the_cleared_gauge(P_, Z, M0, p, q):
+    p_down = xpoly.shift_arg(xpoly.trim(p), rat(1) / q)
+    eq = QDiffEq(P_, Z, xpoly.mul(xpoly.trim(M0), p_down))
+    moved = eq.move_factor(p, q)
+    assert equations_equal(
+        moved, QDiffEq(xpoly.mul(xpoly.trim(P_), xpoly.trim(p)), Z, M0))
+    assert equations_equal(moved.move_factor(p, q, back=True), eq)
+    s = p[-1]
+    assert equations_equal(
+        eq.move_factor([s], q),
+        QDiffEq(xpoly.scale(eq.P, s), eq.Z, xpoly.scale(eq.M, 1 / s)))
+
+
+def test_move_factor_refuses_an_inexact_division():
+    eq = QDiffEq([rat(1)], [P("t")], [rat(1), rat(1)])
+    with pytest.raises(ValueError, match="not exact"):
+        eq.move_factor([rat(1), P("t")], sym("q"))
+    with pytest.raises(ValueError, match="not exact"):
+        eq.move_factor(P("x - t"), sym("q"), back=True)
+
+
+# ---------------------------------------------------------------------------
 # diagrams
 
 

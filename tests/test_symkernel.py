@@ -410,6 +410,25 @@ def test_substitution_and_division_build_one_ratfun():
     assert sub.evaluate(point) == f.evaluate({**point, **inner})
 
 
+def test_equation_substitute_coerces_its_binding_once():
+    # 12 coercions plus the coefficients' results; coercing inside every
+    # coefficient's substitution built 46
+    from qheun.lax import reference_equation
+    eq = reference_equation("kny", "D5")
+    names = sorted({v for n in ("P", "Z", "M") for c in eq.side(n)
+                    for v in c.variables()})
+    assert len(names) == 12
+    binding = {v: Fraction(k + 2, 3) for k, v in enumerate(names)}
+    with pytest.MonkeyPatch.context() as mp:
+        built = _counter(mp, RatFun, "__init__")
+        got = eq.substitute(binding)
+    assert len(built) <= 20
+    coerced = {v: as_ratfun(c) for v, c in binding.items()}
+    for n in ("P", "Z", "M"):
+        assert [str(c) for c in got.side(n)] == [
+            str(c.substitute(coerced)) for c in eq.side(n)]
+
+
 def test_limit_at_zero():
     k, l = sym("k1"), sym("l")
     assert ratfun_eq(limit_at_zero(k * l ** 2 / (7 * l ** 2), "l"),
