@@ -227,21 +227,15 @@ def _cmd_derive(args):
           % (catalog, family, ", ".join(roster)))
     if catalog == "murata":
         _fail(args.gauge is None, "--gauge only applies to the kny catalog")
-        variant = args.variant or lax.MURATA_TABLE_VARIANT[family]
         have = lax.MURATA_VARIANTS[family]
-        _fail(variant in have, "family %s has no %r variant (have %s)"
-              % (family, variant, ", ".join(have)))
-        params = lax.MurataParams(family)
-        relation = lax.scalar_reduce(lax.build_murata(params))
-        eq = lax.specialize(family, variant, relation,
-                            binding=params.binding)
+        _fail(args.variant in (None,) + have,
+              "family %s has no %r variant (have %s)"
+              % (family, args.variant, ", ".join(have)))
     else:
         _fail(args.variant is None,
               "--variant only applies to the murata catalog")
-        op = lax.build_kny(lax.KNYParams(family))
-        apply = (family in lax.KNY_GAUGED if args.gauge is None
-                 else args.gauge)
-        eq = lax.kny_to_equation(op, apply_gauge=apply)
+    eq = lax.derive_equation(catalog, family, variant=args.variant,
+                             gauge=args.gauge)
     _emit_json(write_equation(eq), args.out)
     return 0
 

@@ -461,6 +461,7 @@ def crosscheck(fam: EpsilonFamily, eps, xs, N=12) -> float:
     stay exact up to one float conversion of their maximum; an empty xs
     or a nonzero maximum below the float range raises ValueError, not 0.0.
     """
+    xs = tuple(xs)
     if not xs:
         raise ValueError("the sample xs is empty: no point to compare at")
     eps = Fraction(eps) if not isinstance(eps, (int, Fraction)) else eps

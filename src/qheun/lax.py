@@ -9,6 +9,8 @@ polynomial-coefficient equation.  The second ("kny") holds first-order
 operator pencils in the shift z -> qz together with an auxiliary scalar
 g; freezing the pencil's extra variable f at its catalog value n4 and
 clearing denominators again leaves a three-term equation.
+``derive_equation`` is the one code that runs these steps in order, for
+the recorded route or any other route a catalog admits.
 
 No factor is searched for: ``_cancel`` divides out, exactly, only the
 factors each construction put in a denominator (the root l of a12(x) and
@@ -238,21 +240,6 @@ def _murata_pencil(family):
     return a11, a12, a21, a22
 
 
-def _murata_entries(family, binding):
-    """The pencil entries under ``binding``; SubstitutionSingular when it
-    zeroes one of their denominators (l = 0 or m = 0).
-
-    The symbolic entries depend on the family alone, so they are built
-    once, on first use, and shared: RatFun values are immutable, so
-    binding them leaves the shared entries as they were.
-    """
-    try:
-        return tuple(e.substitute(binding) for e in _murata_pencil(family))
-    except ZeroDivisionError:
-        raise SubstitutionSingular("%s binding zeroes a denominator of the "
-                                   "pencil" % family) from None
-
-
 def _eq_on_surface(a, b, subst):
     return ratfun_eq(a, b) or ratfun_eq(a.substitute(subst),
                                         b.substitute(subst))
@@ -264,11 +251,16 @@ def build_murata(params):
     Checks that the determinant equals the recorded factored product,
     and that trace and determinant at x = 0 match the recorded
     eigenvalue pair (for A4, on the constraint surface).  Raises
-    InvariantViolation on any failure.
+    InvariantViolation on any failure, and SubstitutionSingular when the
+    binding zeroes a denominator of the entries (l = 0 or m = 0).
     """
     family, binding = params.family, params.binding
-    mat = LaxMatrix(family, *_murata_entries(family, binding),
-                    binding=binding)
+    try:
+        entries = tuple(e.substitute(binding) for e in _murata_pencil(family))
+    except ZeroDivisionError:
+        raise SubstitutionSingular("%s binding zeroes a denominator of the "
+                                   "pencil" % family) from None
+    mat = LaxMatrix(family, *entries, binding=binding)
     surface = _surface(family, binding)
     det = mat.det()
     stated = _mu(_MURATA_DET[family]).substitute(binding)
@@ -345,32 +337,32 @@ def _strip_factor(eq, p, q):
 # "set" restricts a parameter, "limit" then sends l -> 0, "prediv" divides
 # the unknown by a linear function before stripping, and "strip" is the
 # p(x) of the exponential factor u(qx) = p(x) u(x) that _strip_factor
-# removes, leaving P*p(x), Z, M/p(x/q).
+# removes, leaving P*p(x), Z, M/p(x/q).  The first recipe listed for a
+# family is the route its summary row records.
 _MURATA_RECIPES = {
     ("A4", "paper"): {"set": ("l", "a3"), "strip": "q*x - a1*t"},
     ("A5", "paper"): {"set": ("l", "a1*t"), "prediv": "x/q - a1*t",
                       "strip": "x - a1*t"},
+    ("A5", "alt"): {"set": ("m", "(a1*a2*t/(q*th1))*(1 + d*l)"),
+                    "limit": True},
     ("A5s", "paper"): {"set": ("l", "a3"), "strip": "q*x - a1*t"},
     ("A6", "paper"): {"set": ("l", "a1*t"), "prediv": "x/q - a1*t",
                       "strip": "x - a1*t"},
-    ("A6s", "paper"): {"set": ("l", "a3"), "strip": "q^2*x - a3"},
-    ("A5", "alt"): {"set": ("m", "(a1*a2*t/(q*th1))*(1 + d*l)"),
-                    "limit": True},
     ("A6", "alt"): {"set": ("m", "l*(l - a1*t)*(1 + d*l)/(q*th1*t)"),
                     "limit": True},
+    ("A6s", "paper"): {"set": ("l", "a3"), "strip": "q^2*x - a3"},
     ("A7", "alt"): {"set": ("m", "l^2*(1 + d*l)/(q*th1*t)"), "limit": True,
                     "strip": "q*x"},
     ("A7p", "alt"): {"set": ("m", "th1*t/(q*k1*k2) + d*l"), "limit": True},
 }
 
-#: the variant whose output is the recorded summary row
-MURATA_TABLE_VARIANT = {"A4": "paper", "A5": "paper", "A5s": "paper",
-                        "A6": "paper", "A6s": "paper",
-                        "A7": "alt", "A7p": "alt"}
-
-#: the specialization routes each family admits
+#: the specialization routes each family admits, the recorded one first
 MURATA_VARIANTS = {family: tuple(v for f, v in _MURATA_RECIPES if f == family)
                    for family in MURATA_FAMILIES}
+
+#: the variant whose output is the recorded summary row
+MURATA_TABLE_VARIANT = {family: variants[0]
+                        for family, variants in MURATA_VARIANTS.items()}
 
 
 def specialize(family, variant, relation, binding=None):
@@ -704,25 +696,38 @@ def accessory_formula(catalog, family):
     return None if text is None else parse(text)
 
 
-def derive_equation(catalog, family, binding=None):
+def derive_equation(catalog, family, binding=None, variant=None, gauge=None):
     """Replay the full derivation of a family's summary-row equation.
 
-    Raises ValueError (unknown names), InvariantViolation (a broken
-    constraint or identity), SubstitutionSingular (a binding that zeroes
-    a denominator: of the kny pencil or the A4 constraint, of the murata
-    pencil entries, as l = 0 or m = 0, or of a recipe's set value or the
-    relation at it, as a1 = 0 in A5 or A6, a3 = 0 in A5s, t = 0 in A7 and
-    k2 = 0 in A7p) and DivergesAtZero (a missing limit).
+    This is the one code that orders the derivation steps.  ``variant``
+    selects a murata specialization route of MURATA_VARIANTS, ``gauge``
+    whether kny_to_equation applies the extra linear gauge; None for
+    either takes the route the summary row records.
+
+    Raises ValueError (unknown names; a gauge given for a murata row, a
+    variant for a kny row, or a variant the family does not admit),
+    InvariantViolation (a broken constraint or identity),
+    SubstitutionSingular (a binding that zeroes a denominator: of the kny
+    pencil or the A4 constraint, of the murata pencil entries, as l = 0
+    or m = 0, or of a recipe's set value or the relation at it, as a1 = 0
+    in A5 or A6, a3 = 0 in A5s, t = 0 in A7 and k2 = 0 in A7p) and
+    DivergesAtZero (a missing limit).
     """
     if catalog == "murata":
+        if gauge is not None:
+            raise ValueError("the gauge only applies to the kny catalog")
         params = MurataParams(family, binding)
         relation = scalar_reduce(build_murata(params))
-        return specialize(family, MURATA_TABLE_VARIANT[family], relation,
-                          binding=params.binding)
+        if variant is None:
+            variant = MURATA_TABLE_VARIANT[family]
+        return specialize(family, variant, relation, binding=params.binding)
     if catalog == "kny":
-        params = KNYParams(family, binding)
-        op = build_kny(params)
-        return kny_to_equation(op, apply_gauge=family in KNY_GAUGED)
+        if variant is not None:
+            raise ValueError("a variant only applies to the murata catalog")
+        op = build_kny(KNYParams(family, binding))
+        if gauge is None:
+            gauge = family in KNY_GAUGED
+        return kny_to_equation(op, apply_gauge=gauge)
     raise ValueError("unknown catalog %r" % (catalog,))
 
 

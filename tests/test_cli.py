@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import qheun
 from qheun import equations_equal, ratfun_eq, reference_equation
-from qheun import cli
+from qheun import cli, lax
 from qheun.cli import (
     BIND_FORMAT,
     CONVENTION,
@@ -255,6 +255,46 @@ def test_derive_to_file(tmp_path):
                          "A7p", "--out", str(target)])
     assert code == 0 and out == ""
     assert _json(target.read_text())["format"] == EQ_FORMAT
+
+
+def _derive_routes(catalog, family):
+    """(derive flags, derive_equation keywords) of every route the CLI
+    accepts for one row, the default route first."""
+    routes = [((), {})]
+    if catalog == "murata":
+        routes += [(("--variant", v), {"variant": v})
+                   for v in lax.MURATA_VARIANTS[family]]
+    else:
+        routes += [(("--gauge",), {"gauge": True}),
+                   (("--no-gauge",), {"gauge": False})]
+    return routes
+
+
+@pytest.mark.parametrize("catalog, family",
+                         [("murata", f) for f in MURATA_FAMILIES]
+                         + [("kny", f) for f in KNY_FAMILIES])
+def test_derive_document_is_derive_equation(catalog, family):
+    # the CLI keeps no derivation of its own: every route it accepts is
+    # one lax.derive_equation call, written out
+    for flags, keywords in _derive_routes(catalog, family):
+        derived = lax.derive_equation(catalog, family, **keywords)
+        assert _json(derive_doc(catalog, family, *flags)) == \
+            write_equation(derived), (flags, keywords)
+    if catalog == "murata":
+        assert lax.MURATA_TABLE_VARIANT[family] == \
+            lax.MURATA_VARIANTS[family][0]
+        for gauge in (True, False):
+            with pytest.raises(ValueError, match="only applies to the kny"):
+                lax.derive_equation(catalog, family, gauge=gauge)
+        for variant in {"paper", "alt", "nope"} - set(
+                lax.MURATA_VARIANTS[family]):
+            with pytest.raises(ValueError, match="no %r variant" % variant):
+                lax.derive_equation(catalog, family, variant=variant)
+    else:
+        for variant in ("paper", "alt"):
+            with pytest.raises(ValueError,
+                               match="only applies to the murata"):
+                lax.derive_equation(catalog, family, variant=variant)
 
 
 # -- classify and polygon --------------------------------------------------

@@ -432,9 +432,11 @@ def test_crosscheck_refuses_a_gap_below_the_float_range():
 
 
 def test_crosscheck_refuses_an_empty_sample():
-    # no point, no gap: 0.0 would read as a perfect match
-    with pytest.raises(ValueError, match="sample xs is empty"):
-        crosscheck(preset_family("heun"), F(1, 100), (), N=12)
+    # no point, no gap: 0.0 would read as a perfect match; an iterator
+    # has no length, so it must be taken in before the check
+    for empty in ((), iter(()), (x for x in ())):
+        with pytest.raises(ValueError, match="sample xs is empty"):
+            crosscheck(preset_family("heun"), F(1, 100), empty, N=12)
 
 
 # -- numeric fallback ------------------------------------------------------

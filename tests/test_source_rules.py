@@ -80,6 +80,33 @@ def test_lax_searches_for_no_common_factor():
                       % hits)
 
 
+# the steps and parameter classes lax.derive_equation orders, and the
+# tables it picks the recorded route from
+_DERIVATION_STEPS = {"MurataParams", "build_murata", "scalar_reduce",
+                     "specialize", "KNYParams", "build_kny",
+                     "kny_to_equation", "MURATA_TABLE_VARIANT", "KNY_GAUGED"}
+
+
+def test_cli_derives_only_through_derive_equation():
+    # lax.derive_equation is the one code that orders the derivation
+    # steps; a copy of them in the CLI would have to be kept in step
+    tree = _tree(Path(qheun.__file__).parent / "cli.py")
+    used = [(node.lineno, node.attr) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "lax"]
+    used += [(node.lineno, a.name) for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom)
+             and (node.module or "").split(".")[-1] == "lax"
+             for a in node.names]
+    hits = [(line, name) for line, name in used
+            if name in _DERIVATION_STEPS]
+    assert not hits, "cli.py runs derivation steps itself: %s" % hits
+    calls = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "derive_equation"]
+    assert len(calls) == 1, "cli.py derives on line(s) %s" % calls
+
 def test_lax_parses_only_through_the_text_cache():
     # a constant text is parsed in _mu or _kn, which cache each parse, so
     # no per-call path of lax parses a table text again
