@@ -7,6 +7,8 @@ imports this module, as ``termops``.  ``BACKEND`` names the kernel in
 benchmark run records.
 """
 
+from operator import add
+
 BACKEND = "pure"
 
 
@@ -57,7 +59,7 @@ def mul_terms(a, b):
     out = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
-            exp = tuple(x + y for x, y in zip(ea, eb))
+            exp = tuple(map(add, ea, eb))
             c = ca * cb
             s = out.get(exp)
             if s is None:

@@ -417,10 +417,14 @@ def _cmd_verify(args):
 # -- argument surface ------------------------------------------------------
 
 def _build_parser():
+    # before 3.13, argparse measures the command names two columns short;
+    # a help column fixed at that width lays the list out alike everywhere
     parser = argparse.ArgumentParser(
         prog="qheun",
         description="Exact toolkit for three-term q-difference equations "
-                    "of Heun type.")
+                    "of Heun type.",
+        formatter_class=lambda prog: argparse.HelpFormatter(
+            prog, max_help_position=14))
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
     def common(p):
@@ -453,9 +457,11 @@ def _build_parser():
 
     p = sub.add_parser("gauge", help="apply one gauge move")
     common(p)
-    p.add_argument("--kind", required=True,
+    # a short metavar: 3.13 and earlier wrap a choice list differently
+    p.add_argument("--kind", required=True, metavar="KIND",
                    choices=("power", "pochhammer", "theta", "linear",
-                            "invert"))
+                            "invert"),
+                   help="power, pochhammer, theta, linear or invert")
     p.add_argument("--exponent", metavar="RAT",
                    help="power kind: exponent of the split-off power")
     p.add_argument("--alpha", metavar="EXPR",

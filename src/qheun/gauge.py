@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from . import xpoly
 from .qdiff import QDiffEq, ThreeTermRelation
-from .symkernel import as_ratfun, sym
+from .symkernel import MPoly, RatFun, as_ratfun, sym
 
 
 class NotDivisible(ValueError):
@@ -30,9 +30,11 @@ def _q_power(lam):
 
     Integer exponents give a true power of q.  A fraction a/b in lowest
     terms gives r**a, with one adjoined parameter r = q_to_1_over_b per
-    denominator, so exponents over one denominator compose exactly.  r**b
-    is not rewritten to q: 1/2 + 1/2 leaves q_to_1_over_2^2.  A string
-    exponent names its own parameter q_to_<lam>.
+    denominator.  The power move rewrites r**b to q (``_power_move``), so
+    exponents over one denominator compose exactly: 1/2 + 1/2 gives q.
+    Exponents over different denominators (1/2 then 1/3) are out of scope:
+    they leave a product of two symbols.  A string exponent names its own
+    parameter q_to_<lam>.
     """
     if isinstance(lam, str):
         return sym("q_to_" + lam)
@@ -42,15 +44,41 @@ def _q_power(lam):
     return sym("q_to_1_over_%d" % f.denominator) ** f.numerator
 
 
+def _power_move(eq: QDiffEq, lam, back=False) -> QDiffEq:
+    """``QDiffEq.move_factor`` with the constant p = q^lam (or, with
+    ``back``, its inverse).  For a fraction a/b the adjoined root
+    r = q_to_1_over_b then has r^b rewritten to q in every numerator and
+    denominator, so that each power of r left is below b."""
+    moved = eq.move_factor([_q_power(lam)], sym("q"), back=back)
+    b = 1 if isinstance(lam, str) else Fraction(lam).denominator
+    if b == 1:
+        return moved
+    root = "q_to_1_over_%d" % b
+    return QDiffEq(*([_root_reduced(c, root, b) for c in side]
+                     for side in (moved.P, moved.Z, moved.M)),
+                   moved.variable)
+
+
+def _root_reduced(c, root, b):
+    """c with root^b rewritten to q; c itself when no power reaches b."""
+    if max(c.num.degree_in(root), c.den.degree_in(root)) < b:
+        return c
+    q, r = MPoly.var("q"), MPoly.var(root)
+    return RatFun(*(sum((a * q ** (k // b) * r ** (k % b)
+                         for k, a in part.univariate(root).items()), MPoly())
+                    for part in (c.num, c.den)))
+
+
 def gauge_power(eq: QDiffEq, lam) -> QDiffEq:
     """Rescale P by q^lam and M by q^(-lam), leaving Z alone.
 
     This is the coefficient action of splitting a power of x out of the
     unknown: writing the old unknown as x^lam times the new one yields
     exactly this equation for the new unknown.  It is the cleared move
-    ``QDiffEq.move_factor`` with the constant p = q^lam.
+    ``QDiffEq.move_factor`` with the constant p = q^lam, with powers of a
+    fractional exponent's root reduced as ``_q_power`` describes.
     """
-    return eq.move_factor([_q_power(lam)], sym("q"))
+    return _power_move(eq, lam)
 
 
 def gauge_move_factor(eq: QDiffEq, kind, alpha) -> QDiffEq:
@@ -196,8 +224,7 @@ def invert_record(rec: GaugeRecord) -> GaugeRecord:
 def apply_record(rec: GaugeRecord, eq: QDiffEq) -> QDiffEq:
     kind = rec.kind
     if kind == "Power":
-        return eq.move_factor([_q_power(*rec.payload)], sym("q"),
-                              back=rec.inverted)
+        return _power_move(eq, *rec.payload, back=rec.inverted)
     if kind == "MoveFactor":
         return _move_factor(eq, *rec.payload, back=rec.inverted)
     if kind == "Linear":

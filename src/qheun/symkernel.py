@@ -13,9 +13,12 @@ command-line documents, and a canonical graded-lex printer whose output
 reparses to an equal value.  The term-dict loops under MPoly live in
 qheun._termops, re-exported here as ``termops``.  Constants take short
 paths with the same results: a constant factor only scales the other
-operand, a constant denominator is divided into the numerator, and
-substitution multiplies by power tables once per bound-exponent group.
-Substitution, products and quotients build (and normalise) one RatFun.
+operand, and a constant denominator is divided into the numerator.
+Substitution is one pass over each part's terms into one output term
+dict: each term's kept monomial is multiplied by its bound-exponent
+group's factor, built once from power tables of the bound values.
+Substitution, products and quotients build (and normalise) one RatFun,
+and normalisation cancels the shared monomial content in one shift.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from math import comb, gcd
+from operator import add, sub
 
 from . import _termops as termops
 
@@ -90,10 +94,11 @@ class MPoly:
         """
         if not terms:
             return _MP_ZERO
-        used = [i for i in range(len(vars_)) if any(e[i] for e in terms)]
+        used = [i for i, col in enumerate(zip(*terms)) if any(col)]
         if len(used) != len(vars_):
             vars_ = tuple(vars_[i] for i in used)
-            terms = {tuple(e[i] for i in used): c for e, c in terms.items()}
+            terms = {tuple(map(e.__getitem__, used)): c
+                     for e, c in terms.items()}
         return MPoly(vars_, terms)
 
     @staticmethod
@@ -125,7 +130,8 @@ class MPoly:
         return bool(self.terms)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        # the exact type first: Fraction's ABC instance check is slow to fail
+        if type(other) is not MPoly and isinstance(other, (int, Fraction)):
             other = MPoly.const(other)
         if not isinstance(other, MPoly):
             return NotImplemented
@@ -164,7 +170,7 @@ class MPoly:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not MPoly and isinstance(other, (int, Fraction)):
             other = MPoly.const(other)
         if not isinstance(other, MPoly):
             return NotImplemented
@@ -174,7 +180,7 @@ class MPoly:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not MPoly and isinstance(other, (int, Fraction)):
             other = MPoly.const(other)
         if not isinstance(other, MPoly):
             return NotImplemented
@@ -191,7 +197,7 @@ class MPoly:
         """Product; a constant operand (1: returned as is) scales the other,
         so only two non-constant polynomials reach ``termops.mul_terms``.
         """
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not MPoly and isinstance(other, (int, Fraction)):
             p, c = self, Fraction(other)
         elif not isinstance(other, MPoly):
             return NotImplemented
@@ -244,15 +250,6 @@ class MPoly:
             return 0
         i = self.vars.index(var)
         return max(e[i] for e in self.terms)
-
-    def order_in(self, var: str) -> int:
-        """Lowest exponent of var; raises on the zero polynomial."""
-        if self.is_zero:
-            raise ValueError("zero polynomial has no order")
-        if var not in self.vars:
-            return 0
-        i = self.vars.index(var)
-        return min(e[i] for e in self.terms)
 
     def univariate(self, var: str) -> dict:
         """View as a polynomial in var: degree -> MPoly in the other variables."""
@@ -327,42 +324,93 @@ class MPoly:
         return f"MPoly({self})"
 
 
-def _power_table(p: MPoly, kmax: int):
-    out = [_MP_ONE]
-    for _ in range(kmax):
-        out.append(out[-1] * p)
+def _times(a: dict, b: dict) -> dict:
+    """Product of two term dicts over one variable tuple.  A one-term
+    operand costs one exponent add and one coefficient product per term of
+    the other, so only two longer operands reach ``termops.mul_terms``."""
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) != 1:
+        return termops.mul_terms(a, b) if a else {}
+    (ea, ca), = a.items()
+    return {tuple(map(add, ea, eb)): ca * cb for eb, cb in b.items()}
+
+
+def _powers(t: dict, e: int, one: dict) -> list:
+    """[1, t, t^2, ..., t^e] as term dicts, with ``one`` for 1."""
+    out = [one, t][:e + 1]
+    while len(out) <= e:
+        out.append(_times(out[-1], t))
     return out
 
 
 def _substitute(num: MPoly, den: MPoly, binding: dict) -> "RatFun":
-    """num/den with the names in binding replaced, as one RatFun: both parts
-    are multiplied by prod(den_v^e_v), e_v the top power of v in either, so
-    the values' denominators cancel; equal bound exponents share products."""
+    """num/den with the names in binding replaced, as one RatFun.
+
+    Both parts are multiplied by prod(d_v^e_v), where n_v/d_v is the value
+    of v and e_v the top power of v in either part, so the values'
+    denominators cancel: a term with v^k gains n_v^k * d_v^(e_v - k).  That
+    factor is built once per (v, k) and the product of a term's factors
+    once per bound-exponent group, all as term dicts over the one output
+    variable tuple.  Each part is then one pass over its terms: the kept
+    monomial times the group's factor, accumulated in place into one
+    output term dict.
+    """
     bound = [v for v in sorted({*num.vars, *den.vars}) if v in binding]
-    rfs = {v: as_ratfun(binding[v]) for v in bound}
-    emax = {v: max(num.degree_in(v), den.degree_in(v)) for v in bound}
-    npow = {v: _power_table(rfs[v].num, emax[v]) for v in bound}
-    dpow = {v: _power_table(rfs[v].den, emax[v]) for v in bound}
+    values = [as_ratfun(binding[v]) for v in bound]
+    names = {*num.vars, *den.vars}.difference(bound)
+    for r in values:
+        names.update(r.num.vars, r.den.vars)
+    out_vars = tuple(sorted(names))
+    one = {(0,) * len(out_vars): Fraction(1)}
+    factors = []
+    for v, r in zip(bound, values):
+        e = max(num.degree_in(v), den.degree_in(v))
+        npow = _powers(r.num._embed(out_vars), e, one)
+        if not r.den.vars:
+            # a normalised constant denominator is 1
+            factors.append(npow)
+            continue
+        dpow = _powers(r.den._embed(out_vars), e, one)
+        factors.append([_times(npow[k], dpow[e - k]) for k in range(e + 1)])
+    groups: dict = {}
     parts = []
     for p in (num, den):
-        mine = [v for v in p.vars if v in binding]
-        idx = [p.vars.index(v) for v in mine]
-        keep = [i for i, v in enumerate(p.vars) if v not in binding]
-        keep_vars = tuple(p.vars[i] for i in keep)
-        groups: dict = {}
+        # exponents padded with one 0, which stands in for a name p lacks
+        # and for a bound name in the kept monomial
+        n = len(p.vars)
+        pos = {v: i for i, v in enumerate(p.vars) if v not in binding}
+        bsel = [p.vars.index(v) if v in p.vars else n for v in bound]
+        ksel = [pos.get(v, n) for v in out_vars]
+        out: dict = {}
         for e, c in p.terms.items():
-            kept = groups.setdefault(tuple(e[i] for i in idx), {})
-            kept[tuple(e[i] for i in keep)] = c
-        total = _MP_ZERO
-        for be, kept in groups.items():
-            part = MPoly._make(keep_vars, kept)
-            for v, k in zip(mine, be):
-                part = part * npow[v][k] * dpow[v][emax[v] - k]
-            total = total + part
-        for v in bound:
-            if v not in mine:
-                total = total * dpow[v][emax[v]]
-        parts.append(total)
+            e += (0,)
+            be = tuple(map(e.__getitem__, bsel))
+            g = groups.get(be)
+            if g is None:
+                g = one
+                for f, k in zip(factors, be):
+                    if g is one:
+                        g = f[k]
+                    elif f[k] is not one:
+                        g = _times(g, f[k])
+                # a factor coefficient 1 is kept as None: no product then
+                g = groups[be] = tuple((ef, None if cf == 1 else cf)
+                                       for ef, cf in g.items())
+            kept = tuple(map(e.__getitem__, ksel))
+            for ef, cf in g:
+                exp = tuple(map(add, kept, ef))
+                cc = c if cf is None else c * cf
+                s = out.get(exp)
+                if s is None:
+                    out[exp] = cc
+                else:
+                    s = s + cc
+                    if s:
+                        out[exp] = s
+                    else:
+                        del out[exp]
+        parts.append(MPoly._make(out_vars, out))
     if parts[1].is_zero:
         raise ZeroDivisionError(
             "denominator vanishes identically under substitution")
@@ -385,8 +433,8 @@ _MP_ONE = MPoly((), {(): Fraction(1)})
 class RatFun:
     """Quotient of two MPoly values, never reduced by a multivariate gcd.
 
-    Normalization kept cheap and canonical-ish: common per-variable
-    monomial content between numerator and denominator is cancelled, and
+    Normalization kept cheap and canonical-ish: the monomial content
+    common to numerator and denominator is cancelled, and
     the denominator is scaled to integer coprime coefficients with a
     positive graded-lex leading coefficient.  A constant denominator
     becomes 1 directly, its inverse scaling the numerator.  Equality is
@@ -398,11 +446,11 @@ class RatFun:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=None):
-        if isinstance(num, (int, Fraction)):
+        if type(num) is not MPoly and isinstance(num, (int, Fraction)):
             num = MPoly.const(num)
         if den is None:
             den = _MP_ONE
-        elif isinstance(den, (int, Fraction)):
+        elif type(den) is not MPoly and isinstance(den, (int, Fraction)):
             den = MPoly.const(den)
         if den.is_zero:
             raise ZeroDivisionError("rational function with zero denominator")
@@ -416,12 +464,20 @@ class RatFun:
             object.__setattr__(self, "num", num if c == 1 else num * (1 / c))
             object.__setattr__(self, "den", _MP_ONE)
             return
-        shared = set(num.vars) & set(den.vars)
-        for v in shared:
-            m = min(num.order_in(v), den.order_in(v))
-            if m:
-                num = _shift_down(num, v, m)
-                den = _shift_down(den, v, m)
+        # the shared monomial content: column minima (the numerator's only
+        # if the denominator has some), then one shift per part
+        low = {v: m for v, m in zip(den.vars, map(min, zip(*den.terms)))
+               if m and v in num.vars}
+        if low:
+            nlow = dict(zip(num.vars, map(min, zip(*num.terms))))
+            low = {v: min(m, nlow[v]) for v, m in low.items() if nlow[v]}
+        if low:
+            parts = []
+            for p in (num, den):
+                shift = tuple(low.get(v, 0) for v in p.vars)
+                parts.append(MPoly._make(p.vars, {
+                    tuple(map(sub, e, shift)): c for e, c in p.terms.items()}))
+            num, den = parts
         c = den.content_signed()
         if c != 1:
             inv = 1 / c
@@ -452,9 +508,8 @@ class RatFun:
         return self.num.const_value() / self.den.const_value()
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, MPoly)):
-            other = as_ratfun(other)
-        if not isinstance(other, RatFun):
+        other = _coerce(other)
+        if other is NotImplemented:
             return NotImplemented
         return self.num * other.den == other.num * self.den
 
@@ -557,17 +612,10 @@ class RatFun:
         return f"RatFun({self})"
 
 
-def _shift_down(p: MPoly, var: str, m: int) -> MPoly:
-    i = p.vars.index(var)
-    return MPoly._make(p.vars,
-                       {e[:i] + (e[i] - m,) + e[i + 1:]: c
-                        for e, c in p.terms.items()})
-
-
 def _coerce(x):
     if isinstance(x, RatFun):
         return x
-    if isinstance(x, (int, Fraction, MPoly)):
+    if type(x) is MPoly or isinstance(x, (int, Fraction, MPoly)):
         return as_ratfun(x)
     return NotImplemented
 

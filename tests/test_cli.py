@@ -358,6 +358,24 @@ def test_gauge_fractional_power_round_trip():
     assert back == doc
 
 
+def test_gauge_half_powers_add_up_to_the_integer_power():
+    # q_to_1_over_2^2 is rewritten to q, so two half steps give the
+    # document of one whole step
+    doc = derive_doc("murata", "A7")
+    code, half, _ = call(["gauge", "--kind", "power", "--exponent", "1/2"],
+                         stdin=doc)
+    code, twice, _ = call(["gauge", "--kind", "power", "--exponent", "1/2"],
+                          stdin=half)
+    assert code == 0
+    code, once, _ = call(["gauge", "--kind", "power", "--exponent", "1"],
+                         stdin=doc)
+    assert code == 0 and twice == once
+    assert _json(once)["P"] == {"1": "q^2"}
+    code, up, _ = call(["gauge", "--kind", "power", "--exponent", "3/2"],
+                       stdin=doc)
+    assert code == 0 and _json(up)["P"] == {"1": "q^2*q_to_1_over_2"}
+
+
 def test_gauge_invert_is_an_involution():
     doc = derive_doc("kny", "A1w8")
     code, once, _ = call(["gauge", "--kind", "invert"], stdin=doc)

@@ -70,9 +70,27 @@ def test_fractional_powers_over_one_denominator_compose():
     assert equations_equal(
         gauge_power(gauge_power(SAMPLE, Fraction(3, 2)), Fraction(-1, 2)),
         gauge_power(half, Fraction(1, 2)))
-    # q_to_1_over_2^2 is not rewritten to q
-    assert not equations_equal(gauge_power(half, Fraction(1, 2)),
-                               gauge_power(SAMPLE, 1))
+    # q_to_1_over_2^2 is rewritten to q
+    assert equations_equal(gauge_power(half, Fraction(1, 2)),
+                           gauge_power(SAMPLE, 1))
+
+
+def test_root_powers_stay_below_the_denominator():
+    # q^(3/2) is q*r and q^(-3/2) is 1/(q*r), r = q_to_1_over_2, through
+    # gauge_power and through the records alike
+    q, r = sym("q"), sym("q_to_1_over_2")
+    up = gauge_power(SAMPLE, Fraction(3, 2))
+    assert str(up.coeff("P", 2)) == "q*q_to_1_over_2"
+    assert str(up.coeff("M", 2)) == "(c)/(q*q_to_1_over_2)"
+    rec = record_power(Fraction(3, 2))
+    assert equations_equal(apply_record(rec, SAMPLE), up)
+    down = apply_record(invert_record(rec), SAMPLE)
+    assert down.coeff("P", 2) == 1 / (q * r)
+    assert equations_equal(gauge_power(down, Fraction(3, 2)), SAMPLE)
+    thrice = SAMPLE
+    for _ in range(3):
+        thrice = gauge_power(thrice, Fraction(1, 2))
+    assert equations_equal(thrice, up)
 
 
 def test_power_preserves_classification():

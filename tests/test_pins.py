@@ -394,7 +394,7 @@ _HELP_PINS = {
     "polygon --help":
         "d0a484289503bd5d551bf4e6e22e685746a5dcfd6c6447c4f35f83aafb1fe858",
     "gauge --help":
-        "8efde97ed1bf7d5b6c6c12d7d1065ef6558c2fd2d9e583da14d723b2a14d45ce",
+        "7e38f708d50aca12fd92c1cd5a366753a64f25960c5ec6c4fb488a0692658d65",
     "exponents --help":
         "3dd081c5b1cee0e61969b84601cc6a93448e2689b869985edc32ad27ec3342e0",
     "series --help":

@@ -276,7 +276,7 @@ def _per_term_substitute(p, binding):
 
     Each term gets its own chain of products through the power tables of
     the bound values' numerators and denominators; the test keeps it as
-    the reference the grouped loop must reproduce term for term.
+    the reference the one-pass substitution must reproduce term for term.
     """
     bound = [v for v in p.vars if v in binding]
     if not bound or p.is_zero:
@@ -308,9 +308,21 @@ def _V(text):
 def bindings(draw):
     """A binding of one of the shapes the derivations substitute."""
     kind = draw(st.sampled_from(["constant", "monomial quotient",
-                                 "polynomial", "partial", "kept variable"]))
+                                 "polynomial", "partial", "kept variable",
+                                 "zero", "self-shift", "swap", "shift down"]))
     if kind == "constant":
         return {"x": rat(draw(coeffs))}
+    if kind == "zero":
+        # the origin x = 0
+        return {"x": rat(0)}
+    if kind == "self-shift":
+        # the shift x -> q*x: the bound name is also in its value
+        return {"x": _V("q*x")}
+    if kind == "swap":
+        # simultaneous, not chained: y must not become x and then y again
+        return {"x": _V("y"), "y": _V("x")}
+    if kind == "shift down":
+        return {"x": _V("x/q")}
     if kind == "monomial quotient":
         # the shape of the kny balance solution n8 = k1^2 k2^2/(q n1...n7)
         return {"x": _V("k1^2*k2^2/(q*a1*a2*a3*th1*th2*t)")}
@@ -331,12 +343,68 @@ def bindings(draw):
 @given(mpolys(max_terms=6, max_exp=3), bindings())
 @example(_V("x^2*y + 3*x*y - x*z + 5").num,
          {"x": _V("k1^2*k2^2/(q*a1*a2*a3*th1*th2*t)")})
+@example(_V("x^2*y - 3*y^3 + x").num, {"x": _V("y"), "y": _V("x")})
+@example(_V("x^2*y - 3*x + 2").num, {"x": rat(0)})
+@example(_V("x^3 + q*x - 1").num, {"x": _V("x/q")})
 def test_grouped_substitution_matches_the_per_term_loop(p, binding):
     got = p.substitute(binding)
     want = _per_term_substitute(p, binding)
     for g, w in ((got.num, want.num), (got.den, want.den)):
         assert g.vars == w.vars
         assert g.terms == w.terms
+
+
+# -- normalisation against the per-variable loop ------------------------------
+
+def _shift_down(p, var, m):
+    i = p.vars.index(var)
+    return MPoly._make(p.vars,
+                       {e[:i] + (e[i] - m,) + e[i + 1:]: c
+                        for e, c in p.terms.items()})
+
+
+def _per_variable_normalise(num, den):
+    """The per-variable normalisation that the one-pass shift replaced.
+
+    Each variable of both parts loses its lowest exponent in both, one
+    ``_shift_down`` per variable; then the denominator's signed content is
+    divided out.  The test keeps it as the reference the one-pass
+    normalisation of ``RatFun`` must reproduce term for term.
+    """
+    if num.is_zero:
+        return MPoly(), MPoly.const(1)
+    if den.is_const():
+        return num * (1 / den.const_value()), MPoly.const(1)
+    for v in set(num.vars) & set(den.vars):
+        m = min(min(e[p.vars.index(v)] for e in p.terms) for p in (num, den))
+        if m:
+            num = _shift_down(num, v, m)
+            den = _shift_down(den, v, m)
+    inv = 1 / den.content_signed()
+    return num * inv, den * inv
+
+
+@st.composite
+def monomials(draw, names=("x", "y", "z")):
+    m = MPoly.const(1)
+    for name in names:
+        m = m * MPoly.var(name) ** draw(st.integers(0, 3))
+    return m
+
+
+@settings(max_examples=150, deadline=None)
+@given(mpolys(max_terms=4, max_exp=3), mpolys(max_terms=4, max_exp=3)
+       .filter(bool), monomials(), monomials())
+@example(MPoly.var("x"), MPoly.var("x") * MPoly.var("y"),
+         MPoly.const(1), MPoly.const(1))
+@example(_V("x^2*y + 3*x^3").num, _V("-2*x*y^2 + x^2*z").num,
+         MPoly.var("y"), MPoly.var("z"))
+def test_one_pass_normalisation_matches_the_per_variable_loop(p, d, a, b):
+    num, den = p * a, d * b
+    got = RatFun(num, den)
+    want_num, want_den = _per_variable_normalise(num, den)
+    _same_terms(got.num, want_num)
+    _same_terms(got.den, want_den)
 
 
 # -- quotients: substitution and division against evaluation -----------------
