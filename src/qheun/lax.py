@@ -150,13 +150,7 @@ class MurataParams:
             raise InvariantViolation("base q and scale w must be nonzero")
 
 
-class LaxMatrix(NamedTuple):
-    """A 2x2 matrix pencil A(x) with its family tag, as an immutable record.
-
-    ``binding`` repeats the parameter binding the entries were built
-    with, so that later shifts x -> qx can use the bound base; it is a
-    read-only empty mapping when none is given.
-    """
+class _LaxFields(NamedTuple):
     family: str
     a11: RatFun
     a12: RatFun
@@ -164,8 +158,26 @@ class LaxMatrix(NamedTuple):
     a22: RatFun
     binding: Mapping = MappingProxyType({})
 
-    def det(self):
+
+class LaxMatrix(_LaxFields):
+    """A 2x2 matrix pencil A(x) with its family tag, as an immutable record.
+
+    ``binding`` repeats the parameter binding the entries were built
+    with, so that later shifts x -> qx can use the bound base; it is a
+    read-only empty mapping when none is given.  The determinant is
+    multiplied out once per record: ``scalar_reduce`` reuses the one
+    ``build_murata`` checked.
+    """
+
+    def __setattr__(self, name, value):
+        raise AttributeError("LaxMatrix is immutable")
+
+    @functools.cached_property
+    def _det(self):
         return self.a11 * self.a22 - self.a12 * self.a21
+
+    def det(self):
+        return self._det
 
 
 _MURATA_DET = {

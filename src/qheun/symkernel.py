@@ -4,7 +4,7 @@ Three layers:
 
 * ``Fraction`` (stdlib) as the scalar rational type,
 * ``MPoly``: sparse multivariate polynomials, a dict from exponent tuple
-  to nonzero Fraction over a sorted tuple of variable names,
+  to nonzero coefficient over a sorted tuple of variable names,
 * ``RatFun``: quotients of two MPoly values, stored without reduction
   (no multivariate gcd anywhere); equality is cross-multiplication.
 
@@ -19,6 +19,12 @@ dict: each term's kept monomial is multiplied by its bound-exponent
 group's factor, built once from power tables of the bound values.
 Substitution, products and quotients build (and normalise) one RatFun,
 and normalisation cancels the shared monomial content in one shift.
+
+A coefficient is a nonzero int or Fraction, the type not part of the
+value: the entry points and a RatFun's primitive denominator store
+integral values as ints, so most arithmetic is on ints, while Fraction
+arithmetic may leave an integral Fraction.  ``const_value`` and
+``evaluate`` return Fractions.
 """
 
 from __future__ import annotations
@@ -68,7 +74,9 @@ class MPoly:
 
     ``vars`` is the sorted tuple of variable names that actually occur;
     ``terms`` maps exponent tuples (aligned with ``vars``) to nonzero
-    Fractions.  Instances are immutable by convention and canonical:
+    coefficients, ints or Fractions.  It owns the ``terms`` dict it is
+    given, uncopied, so callers pass a fresh dict.  Instances are
+    immutable by convention and canonical:
     equal polynomials have equal (vars, terms).
     """
 
@@ -76,7 +84,7 @@ class MPoly:
 
     def __init__(self, vars_=(), terms=None):
         object.__setattr__(self, "vars", tuple(vars_))
-        object.__setattr__(self, "terms", dict(terms) if terms else {})
+        object.__setattr__(self, "terms", {} if terms is None else terms)
 
     def __setattr__(self, name, value):
         raise AttributeError("MPoly is immutable")
@@ -103,14 +111,17 @@ class MPoly:
 
     @staticmethod
     def const(c) -> "MPoly":
-        c = Fraction(c)
+        if type(c) is not int:
+            c = Fraction(c)
+            if c.denominator == 1:
+                c = c.numerator
         if not c:
             return _MP_ZERO
         return MPoly((), {(): c})
 
     @staticmethod
     def var(name: str) -> "MPoly":
-        return MPoly((name,), {(1,): Fraction(1)})
+        return MPoly((name,), {(1,): 1})
 
     # -- predicates --------------------------------------------------------
 
@@ -124,7 +135,7 @@ class MPoly:
     def const_value(self) -> Fraction:
         if self.vars:
             raise ValueError("not a constant polynomial")
-        return self.terms.get((), Fraction(0))
+        return Fraction(self.terms.get((), 0))
 
     def __bool__(self):
         return bool(self.terms)
@@ -198,10 +209,10 @@ class MPoly:
         so only two non-constant polynomials reach ``termops.mul_terms``.
         """
         if type(other) is not MPoly and isinstance(other, (int, Fraction)):
-            p, c = self, Fraction(other)
+            other = MPoly.const(other)
         elif not isinstance(other, MPoly):
             return NotImplemented
-        elif self.is_zero or other.is_zero:
+        if self.is_zero or other.is_zero:
             return _MP_ZERO
         elif not other.vars:
             p, c = self, other.terms[()]
@@ -212,8 +223,6 @@ class MPoly:
             # canonical polynomials uses every variable of the aligned tuple
             vars_, ta, tb = MPoly._aligned(self, other)
             return MPoly(vars_, termops.mul_terms(ta, tb))
-        if not c:
-            return _MP_ZERO
         if c == 1:
             return p
         return MPoly(p.vars, termops.scale_terms(p.terms, c))
@@ -280,15 +289,15 @@ class MPoly:
         return content
 
     def evaluate(self, values: dict):
-        """Plug numbers in for every variable; exact for Fraction inputs."""
-        total = None
+        """Plug numbers in for every variable; a Fraction for exact inputs."""
+        total = 0
         for e, c in self.terms.items():
             v = c
             for name, k in zip(self.vars, e):
                 if k:
                     v = v * values[name] ** k
-            total = v if total is None else total + v
-        return Fraction(0) if total is None else total
+            total = total + v
+        return Fraction(total) if type(total) is int else total
 
     def substitute(self, binding: dict) -> "RatFun":
         """Simultaneous substitution of some variables by rational functions."""
@@ -362,7 +371,7 @@ def _substitute(num: MPoly, den: MPoly, binding: dict) -> "RatFun":
     for r in values:
         names.update(r.num.vars, r.den.vars)
     out_vars = tuple(sorted(names))
-    one = {(0,) * len(out_vars): Fraction(1)}
+    one = {(0,) * len(out_vars): 1}
     factors = []
     for v, r in zip(bound, values):
         e = max(num.degree_in(v), den.degree_in(v))
@@ -417,6 +426,16 @@ def _substitute(num: MPoly, den: MPoly, binding: dict) -> "RatFun":
     return RatFun(*parts)
 
 
+def _divided(p: MPoly, c) -> MPoly:
+    """p / c for a rational c != 0, each integral quotient an int."""
+    inv = Fraction(c.denominator, c.numerator)
+    out = {}
+    for e, v in p.terms.items():
+        v = v * inv
+        out[e] = v.numerator if v.denominator == 1 else v
+    return MPoly(p.vars, out)
+
+
 def _product(a_num, a_den, b_num, b_den) -> "RatFun":
     """(a_num/a_den)*(b_num/b_den) as one RatFun; equal parts cancel first."""
     if a_num == b_den and not a_num.is_const():
@@ -427,7 +446,7 @@ def _product(a_num, a_den, b_num, b_den) -> "RatFun":
 
 
 _MP_ZERO = MPoly()
-_MP_ONE = MPoly((), {(): Fraction(1)})
+_MP_ONE = MPoly((), {(): 1})
 
 
 class RatFun:
@@ -461,7 +480,9 @@ class RatFun:
         if not den.vars:
             # the signed content of a constant is the constant itself
             c = den.terms[()]
-            object.__setattr__(self, "num", num if c == 1 else num * (1 / c))
+            if c != 1:
+                num = _divided(num, c)
+            object.__setattr__(self, "num", num)
             object.__setattr__(self, "den", _MP_ONE)
             return
         # the shared monomial content: column minima (the numerator's only
@@ -480,9 +501,8 @@ class RatFun:
             num, den = parts
         c = den.content_signed()
         if c != 1:
-            inv = 1 / c
-            num = num * inv
-            den = den * inv
+            num = _divided(num, c)
+            den = _divided(den, c)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 

@@ -17,7 +17,8 @@ from qheun.lax import (KNY_FAMILIES, KNY_GAUGED, KNYParams, InvariantViolation,
                        derive_equation, kny_to_equation, reference_equation,
                        scalar_reduce, specialize, verify_family)
 from qheun.qdiff import QDiffEq, ThreeTermRelation, classify, equations_equal
-from qheun.symkernel import DivergesAtZero, parse_expr, rat, ratfun_eq, sym
+from qheun.symkernel import (DivergesAtZero, RatFun, parse_expr, rat,
+                             ratfun_eq, sym)
 
 _VARS = ("x", "z", "q", "t", "l", "m", "w", "d", "g", "k1", "k2",
          "th1", "th2", "a1", "a2", "a3",
@@ -517,6 +518,33 @@ def test_pencils_are_immutable_records():
     for record, field in ((mat, "a11"), (op, "binding")):
         with pytest.raises(AttributeError):
             setattr(record, field, None)
+
+
+@pytest.mark.parametrize("binding", [None, {"q": 2, "k1": Fraction(3, 5)}])
+def test_murata_derivation_multiplies_out_the_determinant_once(monkeypatch,
+                                                               binding):
+    # build_murata checks a11*a22 - a12*a21 against the recorded factors;
+    # scalar_reduce takes that determinant instead of forming it again
+    pencils, products = [], []
+    build, multiply = lax.build_murata, RatFun.__mul__
+
+    def building(params):
+        pencils.append(build(params))
+        return pencils[-1]
+
+    def multiplying(a, b):
+        products.append((a, b))
+        return multiply(a, b)
+
+    monkeypatch.setattr(lax, "build_murata", building)
+    monkeypatch.setattr(RatFun, "__mul__", multiplying)
+    derive_equation("murata", "A5", binding)
+    mat, = pencils
+    assert sum(a is mat.a11 and b is mat.a22 for a, b in products) == 1
+    # any other pencil, even one with the same entries, computes its own
+    det = mat.det()
+    assert ratfun_eq(lax.LaxMatrix(*mat).det(), det)
+    assert ratfun_eq(mat._replace(a22=mat.a22 + 1).det(), det + mat.a11)
 
 
 def test_a_denominator_left_in_z_raises():

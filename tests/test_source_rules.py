@@ -61,6 +61,23 @@ def test_only_symkernel_imports_the_term_kernel(path):
         path.name, hits)
 
 
+def _int_literal(node):
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        node = node.operand
+    return isinstance(node, ast.Constant) and type(node.value) is int
+
+
+@pytest.mark.parametrize("name", ["symkernel.py", "_termops.py"])
+def test_kernel_divides_no_int_literal(name):
+    # a coefficient may be an int, and 1 / c is then a float: the kernel
+    # divides a Fraction, as in Fraction(1) / c
+    tree = _tree(Path(qheun.__file__).parent / name)
+    hits = [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+            and _int_literal(node.left)]
+    assert not hits, "%s divides an int literal on line(s) %s" % (name, hits)
+
+
 def test_lax_searches_for_no_common_factor():
     # lax cancels the factors each construction names, by exact division;
     # the Euclidean gcd, the lcm built on it, and the lcm clearing of

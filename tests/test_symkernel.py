@@ -23,7 +23,11 @@ def P(text):
 
 # -- strategies ------------------------------------------------------------
 
-coeffs = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
+# plain ints and Fractions, integral ones included: a term dict may hold
+# either type, and the type is not part of the value
+coeffs = st.one_of(st.integers(-30, 30),
+                   st.builds(Fraction, st.integers(-30, 30),
+                             st.integers(1, 12)))
 
 
 @st.composite
@@ -33,7 +37,8 @@ def mpolys(draw, names=("x", "y", "z"), max_terms=5, max_exp=4):
     for _ in range(n):
         c = draw(coeffs)
         exps = draw(st.tuples(*(st.integers(0, max_exp) for _ in names)))
-        mono = MPoly.const(c)
+        # stored as drawn, so an integral Fraction stays a Fraction
+        mono = MPoly((), {(): c}) if c else MPoly()
         for name, e in zip(names, exps):
             mono = mono * MPoly.var(name) ** e
         p = p + mono
@@ -48,6 +53,62 @@ def test_rational_invariants():
     assert Fraction(0, 5) == Fraction(0, 1)
     big = Fraction(10 ** 40 + 1, 10 ** 40)
     assert big.numerator - big.denominator == 1
+
+
+# -- coefficient types -------------------------------------------------------
+
+def _types(p):
+    return {type(c) for c in p.terms.values()}
+
+
+def test_integral_coefficients_are_ints():
+    assert _types(P("6*q*x^2 - 4*x + 3").num) == {int}
+    assert _types(P("(x + 1)^5/q").num) == {int}
+    assert _types(MPoly.const(Fraction(6, 3))) == {int}
+    assert _types(MPoly.const(-7)) == _types(MPoly.var("x")) == {int}
+    assert _types(rat(4, 2).num) == {int}
+    # normalisation divides out the denominator's signed content, -2 here
+    r = RatFun(P("4*x + 2").num, P("-6*t + 4").num)
+    assert r.den.terms == {(1,): 3, (0,): -2}
+    assert _types(r.den) == _types(r.num) == {int}
+    # a rational content 3/2 leaves an int denominator and a Fraction
+    # only where the quotient is not integral
+    s = RatFun(P("3*x + 1").num, P("3*t/2 + 3").num)
+    assert _types(s.den) == {int}
+    assert s.num.terms == {(1,): 2, (0,): Fraction(2, 3)}
+    assert type(s.num.terms[(1,)]) is int
+
+
+def test_constant_denominator_divides_exactly():
+    # 1/2, not the float 0.5 that int division would give
+    r = RatFun(MPoly.var("x"), MPoly.const(2))
+    assert r.num.terms == {(1,): Fraction(1, 2)}
+    assert type(r.num.terms[(1,)]) is Fraction
+    assert r.den == 1
+    assert RatFun(P("4*x").num, MPoly.const(2)).num.terms == {(1,): 2}
+
+
+def test_values_are_fractions():
+    six = P("2*x").evaluate({"x": 3})
+    assert type(six) is Fraction and six == 6
+    half = P("x/t").evaluate({"x": 3, "t": 6})
+    assert type(half) is Fraction and half == Fraction(1, 2)
+    for value in (P("2*x").num.evaluate({"x": 3}), MPoly().evaluate({}),
+                  MPoly.const(5).evaluate({})):
+        assert type(value) is Fraction
+    assert P("2*x").evaluate({"x": 0.25}) == 0.5      # floats stay floats
+    for r in (P("3"), P("6/3"), P("1/2"), P("0"), rat(4)):
+        assert type(r.const_value()) is Fraction
+        assert type(r.num.const_value()) is Fraction
+    assert type(MPoly().const_value()) is Fraction
+
+
+def test_coefficient_type_is_not_part_of_the_value():
+    a = MPoly(("x",), {(1,): 2, (0,): 1})
+    b = MPoly(("x",), {(1,): Fraction(2), (0,): Fraction(1)})
+    assert a == b and hash(a) == hash(b) and str(a) == str(b) == "2*x + 1"
+    assert ratfun_eq(RatFun(a, b), rat(1))
+    assert MPoly((), {(): Fraction(3)}) == 3 == MPoly.const(3)
 
 
 # -- MPoly -----------------------------------------------------------------
