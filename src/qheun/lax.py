@@ -12,11 +12,16 @@ clearing denominators again leaves a three-term equation.
 ``derive_equation`` is the one code that runs these steps in order, for
 the recorded route or any other route a catalog admits.
 
-No factor is searched for: ``_cancel`` divides out, exactly, only the
-factors each construction put in a denominator (the root l of a12(x) and
-the prediv m0(q^2 x) for murata; z - q*n4 in the kny "g-" term and the
-frozen f - z, z - n4, in the kny sums).  Each parameter constraint is
-stated once, in ``_CONSTRAINTS``.
+No factor is searched for: only the factors each construction put in a
+denominator are divided out (the root l of a12(x) and the prediv
+m0(q^2 x) for murata; z - q*n4 in the kny "g-" term and the frozen
+f - z, z - n4, in the kny sums).  Each division is ``MPoly.divide_exact``
+on the term dicts of a numerator or a denominator, never Euclid over
+rational-function coefficients: ``_cancel`` takes a factor out of both
+parts, and ``kny_to_equation`` takes z - n4 out of the denominators that
+hold it and multiplies the other sides by it.  The result is split into
+coefficients of the shift variable once, as RatFun(num_k, den).  Each
+parameter constraint is stated once, in ``_CONSTRAINTS``.
 
 For every family the recorded summary row is stored as transcribed,
 except for four slips in the kny rows that are corrected in place; each
@@ -29,7 +34,8 @@ row's leading-coefficient normalisation.
 What depends only on a table text or on one family is built once, on
 first use, and shared by every later call: each constant text's parse
 (``_mu``/``_kn``), each family's symbolic pencil (``_murata_pencil``,
-``_kny_pencil``) and each recorded row (``reference_equation``).  The
+``_kny_pencil``), each recorded row (``reference_equation``) and each
+constraint solved for one of its names (``_solved``).  The
 values are immutable MPoly, RatFun and QDiffEq objects, and binding
 one builds new values and leaves the shared one as it was, so no call's
 binding can leak into another.  Nothing is built at import beyond the
@@ -41,9 +47,8 @@ import functools
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
-from .symkernel import (RatFun, as_ratfun, limit_at_zero, parse_expr, rat,
-                        ratfun_eq, sym)
-from . import xpoly
+from .symkernel import (MPoly, RatFun, as_ratfun, limit_at_zero, parse_expr,
+                        rat, ratfun_eq, sym)
 from .qdiff import QDiffEq, ThreeTermRelation
 
 
@@ -111,6 +116,16 @@ def _checked_binding(family, binding, allowed):
     return binding
 
 
+@functools.cache
+def _solved(family, name):
+    """The family's constraint solved for ``name``, which it holds linearly.
+
+    It depends only on the family and the name, so it is built once."""
+    expr, _ = _CONSTRAINTS[family]
+    coeff = expr.num.univariate(name)
+    return -as_ratfun(coeff.get(0, 0)) / as_ratfun(coeff[1])
+
+
 def _surface(family, binding):
     """The family's constraint solved for the first of its names the
     binding leaves free, as a bound one-entry substitution, or {} (no name
@@ -119,9 +134,8 @@ def _surface(family, binding):
     expr, names = _CONSTRAINTS.get(family, (None, ()))
     for name in names:
         if name not in binding:
-            (c0, c1), _ = xpoly.from_ratfun(expr, name)
             try:
-                return {name: (-c0 / c1).substitute(binding)}
+                return {name: _solved(family, name).substitute(binding)}
             except ZeroDivisionError:
                 if not expr.substitute(binding):
                     return {}
@@ -309,28 +323,54 @@ def scalar_reduce(mat):
     return ThreeTermRelation(rat(1), mid, low, "x")
 
 
-def _cancel(r, factors, variable):
-    """r as a polynomial in ``variable`` (a coefficient list), after the
-    named factors are divided exactly out of its numerator and denominator.
-
-    A factor the denominator no longer holds (RatFun's own cancellation
-    took it) is skipped.  InvariantViolation when the numerator lacks a
-    factor the denominator held, or a denominator in ``variable`` is left.
+def _divisor(factor, variable):
+    """The numerator of a named factor less its monomial content free of
+    ``variable``: a monomial such as the q of q*(x - a) need not divide
+    what x - a divides, and dividing out x - a alone leaves the same value.
     """
-    num, den = xpoly.from_ratfun(as_ratfun(r), variable)
+    p = as_ratfun(factor).num
+    content = MPoly.const(1)
+    for i, name in enumerate(p.vars):
+        if name != variable:
+            content = content * MPoly.var(name) ** min(e[i] for e in p.terms)
+    return p.divide_exact(content)
+
+
+def _cancel(r, factors, variable):
+    """(numerator, denominator) of r after the named factors are divided
+    exactly out of both parts.
+
+    The division is ``MPoly.divide_exact``, by each factor's numerator
+    less its ``variable``-free monomial content (``_divisor``).  A factor
+    the denominator no longer holds (RatFun's own cancellation took it) is
+    skipped.  InvariantViolation when the numerator lacks a factor the
+    denominator held.
+    """
+    r = as_ratfun(r)
+    num, den = r.num, r.den
     for factor in factors:
-        f = xpoly.as_xpoly(factor, variable)
-        (den_q, den_r), (num_q, num_r) = (xpoly.divmod_x(p, f)
-                                          for p in (den, num))
-        if den_r:
+        f = _divisor(factor, variable)
+        try:
+            den_q = den.divide_exact(f)
+        except ValueError:
             continue
-        if num_r:
+        try:
+            num = num.divide_exact(f)
+        except ValueError:
             raise InvariantViolation("%s divides a denominator but not its "
-                                     "numerator" % factor)
-        num, den = num_q, den_q
-    if xpoly.degree(den) > 0:
+                                     "numerator" % factor) from None
+        den = den_q
+    return num, den
+
+
+def _split(num, den, variable):
+    """num/den as a polynomial in ``variable``, a list of RatFun(num_k,
+    den); InvariantViolation when a denominator in ``variable`` is left."""
+    if variable in den.vars:
         raise InvariantViolation("a denominator in %s is left" % variable)
-    return xpoly.scale(num, as_ratfun(1) / den[0])
+    coeff = num.univariate(variable)
+    return [RatFun(coeff[k], den) if k in coeff else rat(0)
+            for k in range(max(coeff, default=-1) + 1)]
 
 
 def _strip_factor(eq, p, q):
@@ -422,7 +462,8 @@ def specialize(family, variant, relation, binding=None):
         mid = mid * (m1 / m2)
         low = low * (m0 / m2)
         factors += (m2,)
-    eq = QDiffEq(*(_cancel(c, factors, "x") for c in (up, mid, low)), "x")
+    eq = QDiffEq(*(_split(*_cancel(c, factors, "x"), "x")
+                   for c in (up, mid, low)), "x")
     if "strip" in recipe:
         eq = _strip_factor(eq, _mu(recipe["strip"]).substitute(binding), qv)
     return eq
@@ -517,7 +558,7 @@ def _kny_pencil(family):
         if action == "1":
             c_zero = c_zero + c
         elif action == "g-":
-            c = xpoly.eval_at(_cancel(c, (_kn("z - q*n4"),), "z"), sym("z"))
+            c = RatFun(*_cancel(c, (_kn("z - q*n4"),), "z"))
             c_zero = c_zero + c * g
             c_minus = c_minus - c
         else:
@@ -550,22 +591,33 @@ def build_kny(params):
     return KNYOperator(family, *coeffs, binding=binding)
 
 
+def _times(num, den, f):
+    """(numerator, denominator) of (num/den)*f: f's numerator is divided
+    out of den when den holds it, and multiplies num otherwise."""
+    try:
+        return num, den.divide_exact(f.num) * f.den
+    except ValueError:
+        return num * f.num, den * f.den
+
+
 def kny_to_equation(op, apply_gauge=False):
     """Clear denominators of the pencil into a three-term equation.
 
     The one denominator in z is z - n4, the frozen f - z of the "+g" and
-    "-g" terms; while some coefficient holds it, it is cleared from all.
+    "-g" terms; while some coefficient holds it, every side is multiplied
+    by it: divided out of the denominators that hold it, multiplied into
+    the other numerators.
 
     For the families whose summary row records a gauged form (E3a, E2a,
     A1w8), ``apply_gauge`` additionally strips the factor u with
     u(qz) = p(z) u(z), p(z) = q z - n4, which turns (P, Z, M) into
     (P*p(z), Z, M/p(z/q)); for other families the flag has no effect.
     """
-    sides, factors = (op.c_plus, op.c_zero, op.c_minus), ()
-    if any("z" in c.den.vars for c in sides):
-        factors = (_kn("z - n4").substitute(op.binding),)
-        sides = tuple(c * factors[0] for c in sides)
-    eq = QDiffEq(*(_cancel(c, factors, "z") for c in sides), "z")
+    sides = [(c.num, c.den) for c in (op.c_plus, op.c_zero, op.c_minus)]
+    if any("z" in den.vars for _, den in sides):
+        f = _kn("z - n4").substitute(op.binding)
+        sides = [_times(num, den, f) for num, den in sides]
+    eq = QDiffEq(*(_split(num, den, "z") for num, den in sides), "z")
     if apply_gauge and op.family in KNY_GAUGED:
         eq = _strip_factor(eq, _kn("q*z - n4").substitute(op.binding),
                            op.binding.get("q", sym("q")))
@@ -693,8 +745,8 @@ def reference_equation(catalog, family):
     first use, and every caller shares it: QDiffEq is immutable.
     """
     row, _, parse, variable = _catalog_tables(catalog, family)
-    return QDiffEq(*(_cancel(parse(text), (), variable) for text in row),
-                   variable)
+    return QDiffEq(*(_split(r.num, r.den, variable)
+                     for r in map(parse, row)), variable)
 
 
 def accessory_formula(catalog, family):

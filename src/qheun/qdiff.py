@@ -54,6 +54,10 @@ class QDiffEq:
     def __setattr__(self, name, value):
         raise AttributeError("QDiffEq is immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild through the constructor, not __setattr__
+        return QDiffEq, (self.P, self.Z, self.M, self.variable)
+
     @property
     def degree(self) -> int:
         return max(len(self.P), len(self.Z), len(self.M)) - 1
@@ -170,6 +174,10 @@ class ThreeTermRelation:
 
     def __setattr__(self, name, value):
         raise AttributeError("ThreeTermRelation is immutable")
+
+    def __reduce__(self):
+        return ThreeTermRelation, (self.up, self.mid, self.low,
+                                   self.variable)
 
     def substitute(self, binding) -> "ThreeTermRelation":
         return ThreeTermRelation(

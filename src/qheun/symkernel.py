@@ -19,6 +19,9 @@ dict: each term's kept monomial is multiplied by its bound-exponent
 group's factor, built once from power tables of the bound values.
 Substitution, products and quotients build (and normalise) one RatFun,
 and normalisation cancels the shared monomial content in one shift.
+``MPoly.divide_exact`` is exact division over Q[names] on the term
+dicts, leading term by leading term; it raises ValueError when the
+divisor does not divide.
 
 A coefficient is a nonzero int or Fraction, the type not part of the
 value: the entry points and a RatFun's primitive denominator store
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, lcm
 from operator import add, sub
 
 from . import _termops as termops
@@ -88,6 +91,10 @@ class MPoly:
 
     def __setattr__(self, name, value):
         raise AttributeError("MPoly is immutable")
+
+    def __reduce__(self):
+        # pickle and copy rebuild through the constructor, not __setattr__
+        return MPoly, (self.vars, self.terms)
 
     # -- construction ------------------------------------------------------
 
@@ -275,18 +282,59 @@ class MPoly:
         return self.univariate(var).get(k, _MP_ZERO)
 
     def content_signed(self) -> Fraction:
-        """Rational content carrying the sign of the graded-lex leading term."""
+        """Rational content carrying the sign of the graded-lex leading term:
+        one ``math.gcd`` of the numerators over one ``math.lcm`` of the
+        denominators.  Content 1 is one shared ``Fraction(1)``.
+        """
         if self.is_zero:
             return Fraction(0)
-        g = 0
-        l = 1
-        for c in self.terms.values():
-            g = gcd(g, c.numerator)
-            l = l * c.denominator // gcd(l, c.denominator)
-        content = Fraction(g, l)
+        coeffs = self.terms.values()
+        g = gcd(*[c.numerator for c in coeffs])
+        l = lcm(*[c.denominator for c in coeffs])
         if self.terms[max(self.terms, key=_term_key)] < 0:
-            content = -content
-        return content
+            g = -g
+        if l != 1:
+            return Fraction(g, l)
+        return _FRACTION_ONE if g == 1 else Fraction(g)
+
+    def divide_exact(self, f: "MPoly") -> "MPoly":
+        """The quotient self / f, when f divides self over Q[names].
+
+        Division on the term dicts in plain exponent-tuple (lexicographic)
+        order: the remainder's leading term is divided by f's and that
+        multiple of f subtracted, until the remainder is 0.  It stops at
+        the first leading term that f's does not divide.  Integral
+        quotient coefficients are ints.  Raises ValueError when f does not
+        divide self, ZeroDivisionError when f is 0.
+        """
+        if not f.terms:
+            raise ZeroDivisionError("polynomial division by zero")
+        if not f.vars:
+            return _divided(self, f.terms[()])
+        if not self.terms:
+            return _MP_ZERO
+        if not set(f.vars).issubset(self.vars):
+            raise ValueError("the polynomial division is not exact")
+        ft = f._embed(self.vars)
+        lead = max(ft)
+        lc = ft[lead]
+        rest = [(e, c) for e, c in ft.items() if e != lead]
+        rem = dict(self.terms)
+        quot = {}
+        while rem:
+            e = max(rem)
+            qe = tuple(map(sub, e, lead))
+            if min(qe) < 0:
+                raise ValueError("the polynomial division is not exact")
+            qc = quot[qe] = _quotient(rem.pop(e), lc)
+            for fe, fc in rest:
+                te = tuple(map(add, qe, fe))
+                c = rem.get(te, 0) - qc * fc
+                if c:
+                    rem[te] = c
+                else:
+                    del rem[te]
+        return MPoly._make(self.vars, quot)
 
     def evaluate(self, values: dict):
         """Plug numbers in for every variable; a Fraction for exact inputs."""
@@ -426,14 +474,21 @@ def _substitute(num: MPoly, den: MPoly, binding: dict) -> "RatFun":
     return RatFun(*parts)
 
 
+def _quotient(c, d):
+    """c / d for coefficients c and d != 0, an int when integral."""
+    if type(c) is int and type(d) is int:
+        q, r = divmod(c, d)
+        return Fraction(c, d) if r else q
+    v = c / d
+    return v.numerator if v.denominator == 1 else v
+
+
 def _divided(p: MPoly, c) -> MPoly:
-    """p / c for a rational c != 0, each integral quotient an int."""
-    inv = Fraction(c.denominator, c.numerator)
-    out = {}
-    for e, v in p.terms.items():
-        v = v * inv
-        out[e] = v.numerator if v.denominator == 1 else v
-    return MPoly(p.vars, out)
+    """p / c for a rational c != 0, each integral quotient an int; an
+    integral c divides int coefficients with ``divmod``."""
+    if c.denominator == 1:
+        c = c.numerator
+    return MPoly(p.vars, {e: _quotient(v, c) for e, v in p.terms.items()})
 
 
 def _product(a_num, a_den, b_num, b_den) -> "RatFun":
@@ -447,6 +502,7 @@ def _product(a_num, a_den, b_num, b_den) -> "RatFun":
 
 _MP_ZERO = MPoly()
 _MP_ONE = MPoly((), {(): 1})
+_FRACTION_ONE = Fraction(1)
 
 
 class RatFun:
@@ -508,6 +564,10 @@ class RatFun:
 
     def __setattr__(self, name, value):
         raise AttributeError("RatFun is immutable")
+
+    def __reduce__(self):
+        # the stored parts are normalised, so rebuilding keeps them as is
+        return RatFun, (self.num, self.den)
 
     # -- predicates --------------------------------------------------------
 

@@ -10,6 +10,13 @@ The helpers trust that form: every argument polynomial is a trimmed
 sequence of RatFun (a QDiffEq side or a result of this module), and
 every scalar argument is a RatFun.  ``trim`` and ``as_xpoly`` are the
 ways in for anything else.  Each helper returns a trimmed list.
+
+The callers are ``qdiff`` (QDiffEq's sides, ``move_factor`` with its
+exact ``divexact``, and the lcm clearing of ``from_scalar_coefficients``)
+and ``gauge`` (products, shifts and reversals of sides).  ``lax``
+divides its construction factors out with ``MPoly.divide_exact`` on term
+dicts instead, so Euclid over rational-function coefficients
+(``divmod_x``, ``gcd``) runs only under ``move_factor`` and the lcm.
 """
 
 from .symkernel import RatFun, as_ratfun
@@ -71,14 +78,6 @@ def reverse(a, d):
     for k, ca in enumerate(a):
         out[d - k] = ca
     return trim(out)
-
-
-def eval_at(a, v):
-    """Evaluate at an exact point by Horner's rule."""
-    acc = _ZERO
-    for ca in reversed(a):
-        acc = acc * v + ca
-    return acc
 
 
 def eq(a, b):

@@ -2,23 +2,28 @@
 
 from fractions import Fraction
 import contextlib
+import copy
 import io
 import json
+import pickle
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qheun import lax, xpoly
 from qheun.cli import run, write_equation
 from qheun.gauge import gauge_linear
 from qheun.lax import (KNY_FAMILIES, KNY_GAUGED, KNYParams, InvariantViolation,
-                       MURATA_FAMILIES, MurataParams, SubstitutionSingular,
+                       MURATA_FAMILIES, MURATA_VARIANTS, MurataParams,
+                       SubstitutionSingular,
                        accessory_formula, build_kny, build_murata,
                        derive_equation, kny_to_equation, reference_equation,
                        scalar_reduce, specialize, verify_family)
 from qheun.qdiff import QDiffEq, ThreeTermRelation, classify, equations_equal
-from qheun.symkernel import (DivergesAtZero, RatFun, parse_expr, rat,
-                             ratfun_eq, sym)
+from qheun.local import series_solution
+from qheun.symkernel import (DivergesAtZero, RatFun, as_ratfun, parse_expr,
+                             rat, ratfun_eq, sym)
 
 _VARS = ("x", "z", "q", "t", "l", "m", "w", "d", "g", "k1", "k2",
          "th1", "th2", "a1", "a2", "a3",
@@ -427,9 +432,11 @@ def test_cleared_equation_proportional_to_pencil(family):
 def test_named_clearing_equals_the_lcm(family):
     # clearing the named z - n4 gives what clearing by the lcm of every
     # denominator gives, symbolically, at n4 = 0 (where RatFun's own
-    # cancellation may already have taken z) and at full bindings
+    # cancellation may already have taken z), at an n4 whose value has a
+    # denominator of its own, and at full bindings
     rng = random.Random(86420 + KNY_FAMILIES.index(family))
-    for b in [{}, {"n4": 0}] + [_kny_binding(rng) for _ in range(3)]:
+    for b in ([{}, {"n4": 0}, {"n4": P("(n5 + 1)/(n6 - 2)")}]
+              + [_kny_binding(rng) for _ in range(3)]):
         op = build_kny(KNYParams(family, b))
         expected = QDiffEq.from_scalar_coefficients(
             op.c_plus, op.c_zero, op.c_minus, "z")
@@ -545,6 +552,149 @@ def test_murata_derivation_multiplies_out_the_determinant_once(monkeypatch,
     det = mat.det()
     assert ratfun_eq(lax.LaxMatrix(*mat).det(), det)
     assert ratfun_eq(mat._replace(a22=mat.a22 + 1).det(), det + mat.a11)
+
+
+def _euclid_cancel(r, factors, variable):
+    """The cancellation by Euclid over RatFun coefficients (xpoly.divmod_x)
+    that exact term-dict division replaced, kept as the reference."""
+    num, den = xpoly.from_ratfun(as_ratfun(r), variable)
+    for factor in factors:
+        f = xpoly.as_xpoly(factor, variable)
+        (den_q, den_r), (num_q, num_r) = (xpoly.divmod_x(p, f)
+                                          for p in (den, num))
+        if den_r:
+            continue
+        if num_r:
+            raise InvariantViolation("%s divides a denominator but not its "
+                                     "numerator" % factor)
+        num, den = num_q, den_q
+    if xpoly.degree(den) > 0:
+        raise InvariantViolation("a denominator in %s is left" % variable)
+    return xpoly.scale(num, rat(1) / den[0])
+
+
+def _lax_cancel(r, factors, variable):
+    return lax._split(*lax._cancel(r, factors, variable), variable)
+
+
+def _cancelled(cancel, r, factors):
+    """A cancellation's coefficient list in x, or its exception's text."""
+    try:
+        return cancel(r, factors, "x")
+    except InvariantViolation as exc:
+        return str(exc)
+
+
+# a linear factor: a monomial content (x-free, so divide_exact must strip
+# it) times x minus a root, which may have a denominator of its own
+_ROOTS = ("0", "a1*t", "3/2", "-q", "a1 + a2", "(a1 - 1)/q", "t/(2*a3)")
+_CONTENTS = ("1", "q", "-3", "2*t", "q^2*a1/5")
+_linear = st.builds(lambda c, root: P(c) * (P("x") - P(root)),
+                    st.sampled_from(_CONTENTS), st.sampled_from(_ROOTS))
+_cofactors = st.sampled_from(("1", "-2", "x", "x^2 - q", "a2*x + t", "q/3",
+                              "x - a3", "t^2 + 1")).map(P)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_linear, min_size=1, max_size=3), _cofactors, _cofactors,
+       st.lists(st.booleans(), min_size=3, max_size=3),
+       st.lists(st.booleans(), min_size=3, max_size=3))
+def test_cancel_agrees_with_euclid_over_ratfun_coefficients(
+        factors, num, den, in_den, in_num):
+    # each named factor sits in the denominator or not, and in the
+    # numerator or not: a factor only the denominator holds is refused
+    for f, d, n in zip(factors, in_den, in_num):
+        if d:
+            den = den * f
+        if n or not d:
+            num = num * f
+    r = num / den
+    want = _cancelled(_euclid_cancel, r, factors)
+    got = _cancelled(_lax_cancel, r, factors)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert len(got) == len(want)
+        assert all(ratfun_eq(g, w) for g, w in zip(got, want))
+
+
+def test_cancel_strips_the_monomial_content_of_a_factor():
+    # the denominator holds x - a3 but not q: q*(x - a3) cancels as
+    # x - a3 does, with the same value
+    r = P("(x - a3)*(x + t)/((x - a3)*(q + t))")
+    for factor in (P("x - a3"), P("q*x - q*a3"), P("q*t*(x - a3)/2")):
+        got = _cancelled(_lax_cancel, r, (factor,))
+        assert len(got) == 2
+        assert all(ratfun_eq(g, w) for g, w in
+                   zip(got, (P("t/(q + t)"), P("1/(q + t)"))))
+
+
+def test_cancellation_runs_no_euclid(monkeypatch):
+    # _cancel and kny_to_equation divide by term dicts on every catalog
+    # row and route: no xpoly division and no split into RatFun entries
+    calls, inside = [], []
+
+    def counted(name):
+        original = getattr(xpoly, name)
+
+        def counting(*args):
+            if inside:
+                calls.append(name)
+            return original(*args)
+        return counting
+
+    def inside_of(function):
+        def running(*args, **kwargs):
+            inside.append(function)
+            try:
+                return function(*args, **kwargs)
+            finally:
+                inside.pop()
+        return running
+
+    for name in ("divmod_x", "from_ratfun"):
+        monkeypatch.setattr(xpoly, name, counted(name))
+    monkeypatch.setattr(lax, "_cancel", inside_of(lax._cancel))
+    for cache in _lax_caches():
+        cache.cache_clear()
+    for family, variants in MURATA_VARIANTS.items():
+        for variant in variants:
+            for binding in (None, {"q": 2, "t": Fraction(3, 2)}):
+                derive_equation("murata", family, binding, variant=variant)
+    for family in KNY_FAMILIES:
+        for binding in (None, {"q": 2, "n4": Fraction(3, 2)}, {"n4": 0}):
+            op = build_kny(KNYParams(family, binding))
+            inside_of(kny_to_equation)(op)
+    assert calls == []
+    # the counters do count: the strip's Euclid, outside the cancellation,
+    # is not counted, and a split made inside it is
+    derive_equation("murata", "A4")
+    inside_of(xpoly.as_xpoly)(P("x - 1"), "x")
+    assert calls == ["from_ratfun"]
+
+
+def test_records_survive_pickle_and_deepcopy():
+    binding = {"q": Fraction(1, 2), "k1": 2, "k2": 3, "t": 5, "th1": 7,
+               "a1": 1, "a2": -1, "m": 1}
+    eq = derive_equation("murata", "A5")
+    mat = build_murata(MurataParams("A5", {"q": 2}))
+    # the cached determinant sits in the instance dict, pickled with it
+    mat.det()
+    sol = series_solution(eq, binding, rootIndex=0, N=6)
+    records = [eq.Z[0].num, eq.Z[0], eq, mat, scalar_reduce(mat),
+               build_kny(KNYParams("E3b", {"q": 3})), sol]
+    for record in records:
+        for twin in (pickle.loads(pickle.dumps(record)),
+                     copy.deepcopy(record)):
+            assert type(twin) is type(record)
+            assert str(twin) == str(record)
+            if isinstance(record, QDiffEq):
+                assert equations_equal(twin, record)
+            elif isinstance(record, ThreeTermRelation):
+                assert all(ratfun_eq(getattr(twin, n), getattr(record, n))
+                           for n in ("up", "mid", "low"))
+            else:
+                assert twin == record
 
 
 def test_a_denominator_left_in_z_raises():

@@ -1,5 +1,6 @@
 """Kernel tests: exact polynomial/rational arithmetic, limits, parser."""
 
+import math
 import sys
 from fractions import Fraction
 
@@ -225,6 +226,58 @@ def test_ratfun_eq_equivalence_and_scaling(a, b, m):
     if not b.is_zero and not m.is_zero:
         r = RatFun(a, b)
         assert ratfun_eq(r, RatFun(a * m, b * m))
+
+
+# -- exact division and content ---------------------------------------------
+
+@settings(max_examples=150, deadline=None)
+@given(mpolys(max_terms=4, max_exp=3), mpolys(max_terms=3, max_exp=2)
+       .filter(bool), coeffs.filter(bool))
+@example(MPoly.var("x") * 3 + 1, MPoly.var("y") * 2 - 4, Fraction(1))
+def test_divide_exact_returns_the_cofactor(a, f, c):
+    q = (a * f).divide_exact(f)
+    assert q == a
+    _assert_canonical(q)
+    assert all(type(v) is int for v in q.terms.values() if v.denominator == 1)
+    if f.vars:
+        # f divides a*f + c only if it divides the constant c
+        with pytest.raises(ValueError, match="not exact"):
+            (a * f + c).divide_exact(f)
+
+
+def test_divide_exact_refuses_what_does_not_divide():
+    x, y = MPoly.var("x"), MPoly.var("y")
+    assert (x * y + x).divide_exact(y + 1) == x
+    # int coefficients, a quotient that is not integral
+    assert (x * x + x * 2 + 1).divide_exact(x * 2 + 2) == (
+        x * Fraction(1, 2) + Fraction(1, 2))
+    assert _types((x * 6 - 4).divide_exact(MPoly.const(2))) == {int}
+    for p, f in ((x + 1, y), (x * y + 1, x + 1), (MPoly.const(3), x),
+                 (x ** 2 + y, x + y)):
+        with pytest.raises(ValueError):
+            p.divide_exact(f)
+    with pytest.raises(ZeroDivisionError):
+        x.divide_exact(MPoly())
+
+
+@settings(max_examples=100, deadline=None)
+@given(mpolys().filter(bool))
+def test_content_signed_leaves_a_primitive_polynomial(p):
+    c = p.content_signed()
+    assert type(c) is Fraction
+    rest = p * (Fraction(1) / c)
+    values = list(rest.terms.values())
+    assert all(v.denominator == 1 for v in values)
+    assert math.gcd(*[v.numerator for v in values]) == 1
+    assert rest.terms[max(rest.terms, key=lambda e: (sum(e), e))] > 0
+
+
+def test_int_content_one_is_one_shared_fraction():
+    one = P("x + 2*t").num.content_signed()
+    assert type(one) is Fraction and one == 1
+    assert P("3*x - 1").num.content_signed() is one
+    assert P("-6*x^2 + 4*t").num.content_signed() == -2
+    assert P("3*x/2 + 3").num.content_signed() == Fraction(3, 2)
 
 
 def test_substitute_examples():
