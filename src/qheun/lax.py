@@ -26,21 +26,24 @@ parameter constraint is stated once, in ``_CONSTRAINTS``.
 For every family the recorded summary row is stored as transcribed,
 except for four slips in the kny rows that are corrected in place; each
 correction carries a comment with its reason.  ``verify_family`` replays
-the derivation and compares it against the row slot by slot.  The
-degree-one slot of the non-shifted coefficient (the accessory slot) is
-granted sign latitude; every other slot must agree exactly after the
-row's leading-coefficient normalisation.
+the derivation on the family's constraint surface and compares it slot
+by slot against the row on that surface.  The degree-one slot of the
+non-shifted coefficient (the accessory slot) is granted sign latitude;
+every other slot must agree exactly after the row's leading-coefficient
+normalisation.
 
 What depends only on a table text or on one family is built once, on
 first use, and shared by every later call: each constant text's parse
 (``_mu``/``_kn``), each family's symbolic pencil (``_murata_pencil``,
-``_kny_pencil``), each recorded row (``reference_equation``) and each
-constraint solved for one of its names (``_solved``).  The
-values are immutable MPoly, RatFun and QDiffEq objects, and binding
-one builds new values and leaves the shared one as it was, so no call's
-binding can leak into another.  Nothing is built at import beyond the
-constraints, and the binding-dependent steps (the structural checks,
-the elimination, the specialization and the comparison) run every call.
+``_kny_pencil``), each recorded row (``reference_equation``), each
+constraint solved for one of its names (``_solved``) and each row with
+its accessory closed form put in and its constraint solved for one name
+(``_surface_row``).  The values are immutable MPoly, RatFun and QDiffEq
+objects, and binding one builds new values and leaves the shared one as
+it was, so no call's binding can leak into another.  Nothing is built at
+import beyond the constraints, and the binding-dependent steps (the
+structural checks, the elimination, the specialization and the
+comparison) run every call.
 """
 
 import functools
@@ -94,7 +97,8 @@ def _kn(text):
 
 # Each family's parameter constraint: a polynomial that vanishes on its
 # surface, and the names it is linear in, in the order they are solved for.
-_BALANCE = (_kn("q*n1*n2*n3*n4*n5*n6*n7*n8 - k1^2*k2^2"), ("n8", "n7"))
+_BALANCE = (_kn("q*n1*n2*n3*n4*n5*n6*n7*n8 - k1^2*k2^2"),
+            ("n8", "n7", "n6", "n5", "n4", "n3", "n2", "n1", "q"))
 _CONSTRAINTS = {"A4": (_mu("th1*th2 + k1*k2*a1*a2*a3"),
                        ("th2", "th1", "k1", "k2", "a1", "a2", "a3")),
                 **{family: _BALANCE for family in KNY_FAMILIES}}
@@ -130,7 +134,10 @@ def _surface(family, binding):
     """The family's constraint solved for the first of its names the
     binding leaves free, as a bound one-entry substitution, or {} (no name
     free, or the bound constraint is 0); SubstitutionSingular when the
-    binding zeroes that name's coefficient but not the constraint."""
+    binding zeroes that name's coefficient but not the constraint.
+
+    For kny a binding of q and every n_i gives {}: only k1 and k2 are left,
+    and the balance is quadratic in them."""
     expr, names = _CONSTRAINTS.get(family, (None, ()))
     for name in names:
         if name not in binding:
@@ -164,6 +171,21 @@ class MurataParams:
             raise InvariantViolation("base q and scale w must be nonzero")
 
 
+def _reduce_record(record):
+    """Pickle and deepcopy support for LaxMatrix and KNYOperator: a
+    read-only binding travels as a dict and is wrapped again on load, and
+    an instance dict (the cached determinant) travels as state."""
+    *fields, binding = record
+    return (_load_record,
+            (type(record), tuple(fields), dict(binding),
+             isinstance(binding, MappingProxyType)),
+            getattr(record, "__dict__", None) or None)
+
+
+def _load_record(cls, fields, binding, read_only):
+    return cls(*fields, MappingProxyType(binding) if read_only else binding)
+
+
 class _LaxFields(NamedTuple):
     family: str
     a11: RatFun
@@ -182,6 +204,8 @@ class LaxMatrix(_LaxFields):
     multiplied out once per record: ``scalar_reduce`` reuses the one
     ``build_murata`` checked.
     """
+
+    __reduce__ = _reduce_record
 
     def __setattr__(self, name, value):
         raise AttributeError("LaxMatrix is immutable")
@@ -501,6 +525,8 @@ class KNYOperator(NamedTuple):
     c_minus: RatFun
     binding: Mapping = MappingProxyType({})
 
+    __reduce__ = _reduce_record
+
 
 # Each pencil is a sum of terms: a rational coefficient times one of
 #   "1"       the identity,
@@ -795,40 +821,29 @@ def derive_equation(catalog, family, binding=None, variant=None, gauge=None):
     raise ValueError("unknown catalog %r" % (catalog,))
 
 
-def verify_family(catalog, family, binding=None):
-    """Compare the replayed derivation against the recorded summary row.
-
-    The derived equation is scaled so its leading shifted-coefficient
-    slot matches the row's, the recorded accessory closed form (if any)
-    is substituted for d, and constrained parameters are eliminated on
-    both sides.  Every slot is then compared exactly; the degree-one
-    slot of the non-shifted coefficient may also match with its sign
-    flipped.  Returns a report dict with keys "catalog", "family",
-    "match", "accessoryMap" and "discrepancies".  Raises as
-    derive_equation does (SubstitutionSingular for a murata binding that
-    zeroes a pencil or recipe denominator included), and
-    SubstitutionSingular when the binding zeroes a denominator of the
-    constraint, the row or its closed form.
-    """
-    binding = {name: as_ratfun(value)
-               for name, value in (binding or {}).items()}
-    derived = derive_equation(catalog, family, binding)
-    reference = reference_equation(catalog, family)
+@functools.cache
+def _surface_row(catalog, family, name):
+    """The recorded row on its constraint surface: the accessory closed
+    form put in for d and, unless ``name`` is None, the family's constraint
+    solved for ``name`` (``_solved``).  Binding-free, so built once per
+    (catalog, family, name)."""
     formula = accessory_formula(catalog, family)
-    surface = _surface(family, binding)
-    subst = dict(binding)
+    onto = {} if name is None else {name: _solved(family, name)}
+    if formula is not None:
+        onto["d"] = formula.substitute(onto)
+    return reference_equation(catalog, family).substitute(onto)
+
+
+def _slots(reference, derived):
     top = max(reference.degree, derived.degree)
-    slots = [(side, k) for side in ("P", "Z", "M") for k in range(top + 1)]
-    try:
-        if formula is not None:
-            subst["d"] = formula.substitute(binding)
-        refs, ders = ({s: eq.coeff(*s).substitute(extra).substitute(surface)
-                       for s in slots}
-                      for eq, extra in ((reference, subst), (derived, {})))
-    except ZeroDivisionError:
-        raise SubstitutionSingular("%s binding zeroes a denominator of the "
-                                   "row or its closed form" % family) from None
-    lead = next((k for k in range(top, -1, -1)
+    return [(side, k) for side in ("P", "Z", "M") for k in range(top + 1)]
+
+
+def _report(catalog, family, reference, refs, ders):
+    """The verify report of the slot -> value maps ``refs`` and ``ders``,
+    both on the surface, with ``ders`` scaled to the row's leading
+    shifted-coefficient slot."""
+    lead = next((k for k in range(reference.degree, -1, -1)
                  if not reference.coeff("P", k).is_zero), 0)
     der_lead = ders["P", lead]
     scale = refs["P", lead] / der_lead if not der_lead.is_zero else rat(1)
@@ -849,3 +864,87 @@ def verify_family(catalog, family, binding=None):
                               "derived": str(der), "reference": str(ref)})
     return {"catalog": catalog, "family": family, "match": match,
             "accessoryMap": accessory_map, "discrepancies": discrepancies}
+
+
+def _verify_on_surface(catalog, family, binding):
+    """The report from a derivation run on the surface, against the
+    binding put into ``_surface_row``; None for a zero surface entry.
+
+    Every denominator of the rows, the closed forms and the derived
+    equations is a monomial, so a slot by slot substitution can only
+    divide by zero at a surface entry that is 0, where ``_surface_row``
+    may already have cancelled the name it solves for."""
+    surface = _surface(family, binding)
+    if any(value.is_zero for value in surface.values()):
+        return None
+    derived = derive_equation(catalog, family, {**binding, **surface})
+    reference = reference_equation(catalog, family)
+    row = _surface_row(catalog, family, next(iter(surface), None))
+    slots = _slots(reference, derived)
+    return _report(catalog, family, reference,
+                   {s: row.coeff(*s).substitute(binding) for s in slots},
+                   {s: derived.coeff(*s) for s in slots})
+
+
+def _verify_slot_by_slot(catalog, family, binding):
+    """The report from a derivation run on the binding alone, with the
+    closed form and the surface put into every slot of both sides."""
+    derived = derive_equation(catalog, family, binding)
+    reference = reference_equation(catalog, family)
+    formula = accessory_formula(catalog, family)
+    surface = _surface(family, binding)
+    subst = dict(binding)
+    slots = _slots(reference, derived)
+    try:
+        if formula is not None:
+            subst["d"] = formula.substitute(binding)
+        refs, ders = ({s: eq.coeff(*s).substitute(extra).substitute(surface)
+                       for s in slots}
+                      for eq, extra in ((reference, subst), (derived, {})))
+    except ZeroDivisionError:
+        raise SubstitutionSingular("%s binding zeroes a denominator of the "
+                                   "row or its closed form" % family) from None
+    return _report(catalog, family, reference, refs, ders)
+
+
+def verify_family(catalog, family, binding=None):
+    """Compare the replayed derivation against the recorded summary row.
+
+    Both sides are compared on the family's constraint surface, with the
+    recorded accessory closed form (if any) put in for d.  The derived
+    equation is scaled so its leading shifted-coefficient slot matches
+    the row's.  Every slot is then compared exactly; the degree-one slot
+    of the non-shifted coefficient may also match with its sign flipped.
+    Returns a report dict with keys "catalog", "family", "match",
+    "accessoryMap" and "discrepancies".
+
+    The derivation runs with the surface entry (``_surface``) added to
+    the binding; deriving there equals deriving on the binding and
+    substituting the entry afterwards.  The row it is compared against
+    is ``_surface_row``, built once per (catalog, family, surface name),
+    so a call only puts its binding into that row.  This pays when a
+    family is verified repeatedly: on the benchmark's catalog workload
+    every call after a family's first, at least 99% of a run.  A single
+    call, as in a fresh ``qheun verify``, builds each row once, which is
+    the reference work a slot by slot comparison does anyway.
+
+    A call whose surface route raises or divides by zero, whose surface
+    entry is 0, or whose report has a discrepancy runs again slot by
+    slot: derived on the binding alone, with the closed form and the
+    surface put into every slot of both sides.  That route gives every
+    discrepancy text and every exception.
+
+    Raises as derive_equation does (SubstitutionSingular for a murata
+    binding that zeroes a pencil or recipe denominator included), and
+    SubstitutionSingular when the binding zeroes a denominator of the
+    constraint, the row or its closed form.
+    """
+    binding = {name: as_ratfun(value)
+               for name, value in (binding or {}).items()}
+    try:
+        report = _verify_on_surface(catalog, family, binding)
+    except (ArithmeticError, ValueError):
+        report = None
+    if report is None or not report["match"]:
+        report = _verify_slot_by_slot(catalog, family, binding)
+    return report

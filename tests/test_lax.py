@@ -681,12 +681,20 @@ def test_records_survive_pickle_and_deepcopy():
     # the cached determinant sits in the instance dict, pickled with it
     mat.det()
     sol = series_solution(eq, binding, rootIndex=0, N=6)
+    # records built with the default binding carry a read-only mapping
+    bare = [lax.KNYOperator("D5", rat(1), rat(1), rat(1)),
+            lax.LaxMatrix("A5", rat(1), rat(2), rat(3), rat(4))]
+    bare[1].det()
     records = [eq.Z[0].num, eq.Z[0], eq, mat, scalar_reduce(mat),
-               build_kny(KNYParams("E3b", {"q": 3})), sol]
+               build_kny(KNYParams("E3b", {"q": 3})), sol] + bare
     for record in records:
         for twin in (pickle.loads(pickle.dumps(record)),
                      copy.deepcopy(record)):
             assert type(twin) is type(record)
+            if any(record is b for b in bare):
+                assert type(twin.binding) is type(record.binding)
+                with pytest.raises(TypeError):
+                    twin.binding["q"] = rat(2)
             assert str(twin) == str(record)
             if isinstance(record, QDiffEq):
                 assert equations_equal(twin, record)
@@ -808,14 +816,31 @@ def test_verify_kny_with_numeric_bindings(family):
         done += 1
 
 
+@pytest.mark.parametrize("family", KNY_FAMILIES)
+def test_kny_rows_match_with_n7_and_n8_bound(family):
+    # the balance is then solved for n6, not left out of the comparison
+    report = verify_family("kny", family, {"n7": 2, "n8": 3})
+    assert report["match"] is True
+    assert report["discrepancies"] == []
+
+
+def test_kny_surface_is_empty_once_q_and_every_n_is_bound():
+    # the balance is quadratic in k1 and k2, the only names left
+    binding = {"q": rat(2), **{"n%d" % i: rat(i) for i in range(1, 9)}}
+    assert lax._surface("D5", binding) == {}
+
+
 # -- seeded slips: the failure paths of the catalog checks -------------------
 
 @pytest.fixture
 def fresh_rows():
-    # the rows are cached per family; a seeded slip must not outlive its test
-    lax.reference_equation.cache_clear()
+    # the rows, and the on-surface rows built from them, are cached per
+    # family; a seeded slip must not outlive its test
+    for cache in _lax_caches():
+        cache.cache_clear()
     yield
-    lax.reference_equation.cache_clear()
+    for cache in _lax_caches():
+        cache.cache_clear()
 
 
 def _seed_a4w(monkeypatch, slot, text):
@@ -1021,3 +1046,152 @@ def test_new_bindings_parse_nothing_and_grow_no_cache(monkeypatch):
     one_pass()
     assert parsed == []
     assert [cache.cache_info().currsize for cache in caches] == sizes
+
+
+# -- the on-surface route of verify_family -----------------------------------
+
+def _slot_by_slot(catalog, family, binding=None):
+    """verify_family as it compared before the on-surface route: derive on
+    the binding, then put the closed form and the surface into every slot
+    of both sides."""
+    binding = {name: as_ratfun(value)
+               for name, value in (binding or {}).items()}
+    derived = derive_equation(catalog, family, binding)
+    reference = reference_equation(catalog, family)
+    formula = accessory_formula(catalog, family)
+    surface = lax._surface(family, binding)
+    subst = dict(binding)
+    top = max(reference.degree, derived.degree)
+    slots = [(side, k) for side in ("P", "Z", "M") for k in range(top + 1)]
+    try:
+        if formula is not None:
+            subst["d"] = formula.substitute(binding)
+        refs, ders = ({s: eq.coeff(*s).substitute(extra).substitute(surface)
+                       for s in slots}
+                      for eq, extra in ((reference, subst), (derived, {})))
+    except ZeroDivisionError:
+        raise SubstitutionSingular("%s binding zeroes a denominator of the "
+                                   "row or its closed form" % family) from None
+    lead = next((k for k in range(top, -1, -1)
+                 if not reference.coeff("P", k).is_zero), 0)
+    der_lead = ders["P", lead]
+    scale = refs["P", lead] / der_lead if not der_lead.is_zero else rat(1)
+    match, accessory_map, discrepancies = True, None, []
+    for (side, degree), ref in refs.items():
+        der = ders[side, degree] * scale
+        if side == "Z" and degree == 1:
+            accessory_map = ("asPrinted" if ratfun_eq(der, ref) else
+                             "flipped" if ratfun_eq(der, -ref) else
+                             "unresolved")
+            if accessory_map != "unresolved":
+                continue
+        elif ratfun_eq(der, ref):
+            continue
+        match = False
+        discrepancies.append({"side": side, "degree": degree,
+                              "derived": str(der), "reference": str(ref)})
+    return {"catalog": catalog, "family": family, "match": match,
+            "accessoryMap": accessory_map, "discrepancies": discrepancies}
+
+
+def _less_one(catalog, family, rng):
+    """A seeded full binding less the first name the family's constraint
+    is solved for, if it has a constraint."""
+    b = _full_binding(catalog, family, rng)
+    names = lax._CONSTRAINTS.get(family, (None, ()))[1]
+    b.pop(next(iter(names), None), None)
+    return b
+
+
+def _bindings(catalog, family, rng):
+    return [None, _partial_binding(catalog, rng),
+            _full_binding(catalog, family, rng),
+            _less_one(catalog, family, rng)]
+
+
+@pytest.mark.parametrize("catalog, family", _ROWS)
+def test_deriving_on_the_surface_equals_substituting_after(catalog, family):
+    rng = random.Random("surface:%s:%s" % (catalog, family))
+    for binding in _bindings(catalog, family, rng):
+        binding = {n: as_ratfun(v) for n, v in (binding or {}).items()}
+        surface = lax._surface(family, binding)
+        on = derive_equation(catalog, family, {**binding, **surface})
+        after = derive_equation(catalog, family, binding).substitute(surface)
+        assert on.degree == after.degree
+        for side in ("P", "Z", "M"):
+            for k in range(on.degree + 1):
+                assert ratfun_eq(on.coeff(side, k), after.coeff(side, k)), \
+                    (binding, side, k)
+
+
+@pytest.mark.parametrize("catalog, family", _ROWS)
+def test_every_denominator_is_a_monomial(catalog, family):
+    # why a zero surface entry is the only one a slot by slot comparison
+    # can divide by, and so the only one verify_family sends that way
+    values = [accessory_formula(catalog, family) or rat(1)]
+    for eq in (reference_equation(catalog, family),
+               derive_equation(catalog, family)):
+        values += [c for side in (eq.P, eq.Z, eq.M) for c in side]
+    assert all(len(v.den.terms) == 1 for v in values)
+
+
+_EDGE_BINDINGS = [
+    # the singular bindings of the tests above
+    ("kny", "D5", {"n4": 0}), ("kny", "E3a", {"n4": 0}),
+    ("murata", "A4", {"th1": 0}), ("kny", "E2b", {"k2": 0}),
+    ("kny", "A4w", {"n7": 0}), ("kny", "D5", {"k1": 0}),
+    ("kny", "E3a", {"k1": 0}), ("murata", "A4", {"l": 0}),
+    ("murata", "A7p", {"m": 0}), ("murata", "A5", {"a1": 0}),
+    ("murata", "A6", {"a1": 0}), ("murata", "A5s", {"a3": 0}),
+    ("murata", "A7", {"t": 0}), ("murata", "A7p", {"k1": 0}),
+    ("murata", "A7p", {"k2": 0}), ("murata", "A4", {"q": 0}),
+    ("murata", "A4", {"th1": -3, "th2": -2, "a1": 0}),
+    ("murata", "A4", {"a3": 2, "d": 1, "th1": -3, "th2": -2}),
+    ("murata", "A4", {"th1": -3, "th2": -2, "k1": 1, "k2": 1, "a1": 1}),
+    ("murata", "A4", {"th1": 0, "th2": 1, "a1": 0}),
+    ("kny", "A4w", {"q": 0}), ("murata", "A5", {"l": 1}),
+    # a zero surface entry: n6 = k1^2*k2^2/(...) = 0 cancels in the row
+    ("kny", "A4w", {"n7": 2, "n8": 3, "k1": 0}),
+    ("kny", "E3a", {"n7": 2, "n8": 3, "k2": 0}),
+    ("kny", "D5", {"n7": 2, "n8": 3, "n4": 0}),
+] + [(c, f, b) for c, f in _ROWS
+     for b in ({"d": Fraction(5, 2)}, {"d": 0, "q": 3})] + [
+    ("kny", f, b) for f in KNY_FAMILIES
+    for b in ({"n8": 3}, {"n7": 2, "n8": 3}, {"n8": 0})]
+
+
+def test_verify_equals_the_slot_by_slot_route():
+    rng = random.Random(4711)
+    calls = [(c, f, b) for c, f in _ROWS for b in _bindings(c, f, rng)]
+    for catalog, family, binding in calls + _EDGE_BINDINGS:
+        assert (_outcome(verify_family, catalog, family, binding)
+                == _outcome(_slot_by_slot, catalog, family, binding)), \
+            (catalog, family, binding)
+
+
+def test_matching_rows_take_the_on_surface_route(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the slot-by-slot route ran")
+
+    monkeypatch.setattr(lax, "_verify_slot_by_slot", refuse)
+    rng = random.Random(1729)
+    for catalog, family in _ROWS:
+        for binding in _bindings(catalog, family, rng):
+            assert verify_family(catalog, family, binding)["match"]
+
+
+def test_a_mismatch_is_reported_by_the_slot_by_slot_route(monkeypatch,
+                                                         fresh_rows):
+    ran = []
+
+    def counted(*args):
+        ran.append(args[:2])
+        return slot_by_slot(*args)
+
+    slot_by_slot = lax._verify_slot_by_slot
+    monkeypatch.setattr(lax, "_verify_slot_by_slot", counted)
+    _seed_a4w(monkeypatch, "M", "q*n1*n2*n3*(z - n4)")
+    for binding in (None, {"q": 2, "k1": 3}):
+        assert (verify_family("kny", "A4w", binding)
+                == _slot_by_slot("kny", "A4w", binding))
+    assert ran == [("kny", "A4w")] * 2
