@@ -834,79 +834,6 @@ def _surface_row(catalog, family, name):
     return reference_equation(catalog, family).substitute(onto)
 
 
-def _slots(reference, derived):
-    top = max(reference.degree, derived.degree)
-    return [(side, k) for side in ("P", "Z", "M") for k in range(top + 1)]
-
-
-def _report(catalog, family, reference, refs, ders):
-    """The verify report of the slot -> value maps ``refs`` and ``ders``,
-    both on the surface, with ``ders`` scaled to the row's leading
-    shifted-coefficient slot."""
-    lead = next((k for k in range(reference.degree, -1, -1)
-                 if not reference.coeff("P", k).is_zero), 0)
-    der_lead = ders["P", lead]
-    scale = refs["P", lead] / der_lead if not der_lead.is_zero else rat(1)
-
-    match, accessory_map, discrepancies = True, None, []
-    for (side, degree), ref in refs.items():
-        der = ders[side, degree] * scale
-        if side == "Z" and degree == 1:
-            accessory_map = ("asPrinted" if ratfun_eq(der, ref) else
-                             "flipped" if ratfun_eq(der, -ref) else
-                             "unresolved")
-            if accessory_map != "unresolved":
-                continue
-        elif ratfun_eq(der, ref):
-            continue
-        match = False
-        discrepancies.append({"side": side, "degree": degree,
-                              "derived": str(der), "reference": str(ref)})
-    return {"catalog": catalog, "family": family, "match": match,
-            "accessoryMap": accessory_map, "discrepancies": discrepancies}
-
-
-def _verify_on_surface(catalog, family, binding):
-    """The report from a derivation run on the surface, against the
-    binding put into ``_surface_row``; None for a zero surface entry.
-
-    Every denominator of the rows, the closed forms and the derived
-    equations is a monomial, so a slot by slot substitution can only
-    divide by zero at a surface entry that is 0, where ``_surface_row``
-    may already have cancelled the name it solves for."""
-    surface = _surface(family, binding)
-    if any(value.is_zero for value in surface.values()):
-        return None
-    derived = derive_equation(catalog, family, {**binding, **surface})
-    reference = reference_equation(catalog, family)
-    row = _surface_row(catalog, family, next(iter(surface), None))
-    slots = _slots(reference, derived)
-    return _report(catalog, family, reference,
-                   {s: row.coeff(*s).substitute(binding) for s in slots},
-                   {s: derived.coeff(*s) for s in slots})
-
-
-def _verify_slot_by_slot(catalog, family, binding):
-    """The report from a derivation run on the binding alone, with the
-    closed form and the surface put into every slot of both sides."""
-    derived = derive_equation(catalog, family, binding)
-    reference = reference_equation(catalog, family)
-    formula = accessory_formula(catalog, family)
-    surface = _surface(family, binding)
-    subst = dict(binding)
-    slots = _slots(reference, derived)
-    try:
-        if formula is not None:
-            subst["d"] = formula.substitute(binding)
-        refs, ders = ({s: eq.coeff(*s).substitute(extra).substitute(surface)
-                       for s in slots}
-                      for eq, extra in ((reference, subst), (derived, {})))
-    except ZeroDivisionError:
-        raise SubstitutionSingular("%s binding zeroes a denominator of the "
-                                   "row or its closed form" % family) from None
-    return _report(catalog, family, reference, refs, ders)
-
-
 def verify_family(catalog, family, binding=None):
     """Compare the replayed derivation against the recorded summary row.
 
@@ -925,26 +852,46 @@ def verify_family(catalog, family, binding=None):
     so a call only puts its binding into that row.  This pays when a
     family is verified repeatedly: on the benchmark's catalog workload
     every call after a family's first, at least 99% of a run.  A single
-    call, as in a fresh ``qheun verify``, builds each row once, which is
-    the reference work a slot by slot comparison does anyway.
-
-    A call whose surface route raises or divides by zero, whose surface
-    entry is 0, or whose report has a discrepancy runs again slot by
-    slot: derived on the binding alone, with the closed form and the
-    surface put into every slot of both sides.  That route gives every
-    discrepancy text and every exception.
+    call, as in a fresh ``qheun verify``, builds each row once.
 
     Raises as derive_equation does (SubstitutionSingular for a murata
     binding that zeroes a pencil or recipe denominator included), and
     SubstitutionSingular when the binding zeroes a denominator of the
-    constraint, the row or its closed form.
+    constraint, the row or its closed form.  That includes a binding that
+    makes the surface entry 0 where a denominator holds it: kny D5 with
+    k1 = 0 puts n8 = 0, and the D5 pencil divides by n8.
     """
     binding = {name: as_ratfun(value)
                for name, value in (binding or {}).items()}
+    surface = _surface(family, binding)
+    derived = derive_equation(catalog, family, {**binding, **surface})
+    reference = reference_equation(catalog, family)
+    row = _surface_row(catalog, family, next(iter(surface), None))
+    top = max(reference.degree, derived.degree)
+    slots = [(side, k) for side in ("P", "Z", "M") for k in range(top + 1)]
     try:
-        report = _verify_on_surface(catalog, family, binding)
-    except (ArithmeticError, ValueError):
-        report = None
-    if report is None or not report["match"]:
-        report = _verify_slot_by_slot(catalog, family, binding)
-    return report
+        refs = {s: row.coeff(*s).substitute(binding) for s in slots}
+    except ZeroDivisionError:
+        raise SubstitutionSingular("%s binding zeroes a denominator of the "
+                                   "row or its closed form" % family) from None
+    lead = next((k for k in range(reference.degree, -1, -1)
+                 if not reference.coeff("P", k).is_zero), 0)
+    der_lead = derived.coeff("P", lead)
+    scale = refs["P", lead] / der_lead if not der_lead.is_zero else rat(1)
+
+    match, accessory_map, discrepancies = True, None, []
+    for (side, degree), ref in refs.items():
+        der = derived.coeff(side, degree) * scale
+        if side == "Z" and degree == 1:
+            accessory_map = ("asPrinted" if ratfun_eq(der, ref) else
+                             "flipped" if ratfun_eq(der, -ref) else
+                             "unresolved")
+            if accessory_map != "unresolved":
+                continue
+        elif ratfun_eq(der, ref):
+            continue
+        match = False
+        discrepancies.append({"side": side, "degree": degree,
+                              "derived": str(der), "reference": str(ref)})
+    return {"catalog": catalog, "family": family, "match": match,
+            "accessoryMap": accessory_map, "discrepancies": discrepancies}
