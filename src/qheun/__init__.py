@@ -20,8 +20,7 @@ _HOME = {name: module for module, names in (
     ("symkernel", "MPoly RatFun Rational parse_expr ratfun_eq rat sym"),
     ("qdiff", "QDiffEq ThreeTermRelation TaxonomyLabel classify "
               "equations_equal newton_diagram render_diagram"),
-    ("gauge", "gauge_linear gauge_move_factor gauge_power invert_variable "
-              "rebase"),
+    ("gauge", "gauge_linear gauge_move_factor gauge_power invert_variable"),
     ("lax", "KNY_FAMILIES KNY_GAUGED KNYOperator KNYParams "
             "InvariantViolation LaxMatrix MURATA_FAMILIES MurataParams "
             "SubstitutionSingular accessory_formula build_kny build_murata "
@@ -32,7 +31,7 @@ _HOME = {name: module for module, names in (
     ("climit", "AllZero EpsilonFamily HeunODE IrregularAtZero LimitData "
                "LimitDiverges Unclassifiable classify_ode crosscheck "
                "emit_ode limit_coefficients ode_series preset_family "
-               "preset_names preset_note preset_target richardson_limit"),
+               "preset_names preset_note preset_target"),
     ("odeheun", "BHEParams CHEParams ConstraintViolation DHEParams "
                 "HEParams HeunParams NoMatch PARAM_CLASSES THEParams "
                 "match_class to_operator"),

@@ -7,9 +7,9 @@ leading coefficients then decide which member of the Heun family the
 limit is: the full equation, a confluent one, or a reduced shape with a
 ramified irregular point.
 
-The exact path keeps every entry a rational function of eps and takes
-limits by valuation, so the limit data is exact.  Families given as
-black-box callables fall back to Richardson extrapolation.
+Every entry is a rational function of eps and every limit is taken by
+valuation, so the limit data is exact; there is no sampled or float
+route into the limit.
 """
 
 from fractions import Fraction
@@ -24,7 +24,6 @@ __all__ = [
     "LimitDiverges", "ODE_CLASSES", "Unclassifiable", "classify_ode",
     "crosscheck", "emit_ode", "limit_coefficients", "ode_series",
     "preset_family", "preset_names", "preset_note", "preset_target",
-    "richardson_limit",
 ]
 
 SIGMAS = ("minus", "zero", "plus")
@@ -50,8 +49,6 @@ class IrregularAtZero(ValueError):
 
 
 def _coerce_entry(value, parameter):
-    if callable(value):
-        return value
     if isinstance(value, str):
         return parse_expr(value, {parameter})
     r = as_ratfun(value)
@@ -67,8 +64,9 @@ class EpsilonFamily:
 
     sigma = "plus" multiplies g(q*x), "zero" multiplies g(x) and "minus"
     multiplies g(x/q); k in {0, 1, 2} is the x-degree of the slot, and
-    q = 1 + eps.  Entries are rational expressions in eps, or plain
-    callables eps -> number for families only available numerically.
+    q = 1 + eps.  Each entry is exact: a string parsed in eps, an int, a
+    Fraction, or an MPoly or RatFun in eps.  Anything else, a float or a
+    callable included, raises TypeError; another variable, ValueError.
     """
 
     __slots__ = ("plus", "zero", "minus")
@@ -91,31 +89,19 @@ class EpsilonFamily:
             raise KeyError(sigma)
         return getattr(self, sigma)[k]
 
-    def is_symbolic(self) -> bool:
-        """True when every entry is an exact rational function."""
-        return not any(callable(v)
-                       for row in (self.plus, self.zero, self.minus)
-                       for v in row)
-
     def value(self, sigma, k, eps):
-        v = self.entry(sigma, k)
-        if callable(v):
-            return v(eps)
-        return v.evaluate({self.parameter: eps})
+        return self.entry(sigma, k).evaluate({self.parameter: eps})
 
     def equation(self, eps) -> QDiffEq:
-        """The three-term equation at one numeric eps, with q = 1 + eps."""
-        rows = []
-        for sigma in ("plus", "zero", "minus"):
-            vals = [self.value(sigma, k, eps) for k in range(3)]
-            rows.append([rat(v if isinstance(v, (int, Fraction))
-                             else Fraction(v)) for v in vals])
-        return QDiffEq(rows[0], rows[1], rows[2], "x")
+        """The three-term equation at one numeric eps, with q = 1 + eps;
+        ZeroDivisionError at a pole of an entry (heun at eps = -1, q = 0)."""
+        return QDiffEq(*([rat(Fraction(self.value(sigma, k, eps)))
+                          for k in range(3)]
+                         for sigma in ("plus", "zero", "minus")), "x")
 
     def __repr__(self):
         shape = ",".join(
-            "".join("1" if (callable(v) or not v.is_zero) else "0"
-                    for v in row)
+            "".join("0" if v.is_zero else "1" for v in row)
             for row in (self.plus, self.zero, self.minus))
         return "EpsilonFamily(%s in %s)" % (shape, self.parameter)
 
@@ -174,15 +160,13 @@ def _limit_value(expr, parameter, what):
 
 
 def limit_coefficients(fam: EpsilonFamily) -> LimitData:
-    """Take the nine eps -> 0 limits of a family.
+    """Take the nine eps -> 0 limits of a family exactly, by valuation.
 
-    Exact when the family is symbolic; Richardson extrapolation when any
-    entry is a callable.  Raises LimitDiverges naming the offending slot
-    when a limit fails to exist, or when the slot values at eps = 0 are
-    not the (b, -2b, b) that the limits force on each degree.
+    Every coefficient is an exact rational.  Raises LimitDiverges naming
+    the offending slot when a limit fails to exist, or when the slot
+    values at eps = 0 are not the (b, -2b, b) that the limits force on
+    each degree.
     """
-    if not fam.is_symbolic():
-        return _limit_coefficients_numeric(fam)
     e = fam.parameter
     ev = sym(e)
     out = {}
@@ -211,46 +195,6 @@ def limit_coefficients(fam: EpsilonFamily) -> LimitData:
                 raise LimitDiverges(
                     "slot (%s, %d) has value %s at %s = 0, but the degree-%d "
                     "limits force %s" % (sigma, k, at0[sigma, k], e, k, want))
-    return LimitData(**out)
-
-
-def richardson_limit(fn):
-    """Extrapolate fn(eps) to eps = 0 over the samples eps = 2^-j, j = 4..11.
-
-    Assumes an asymptotic power-series error.  Raises LimitDiverges when
-    the samples keep growing instead of settling.
-    """
-    xs = [Fraction(1, 2 ** j) for j in range(4, 12)]
-    t = [float(fn(x)) for x in xs]
-    tail = [abs(v) for v in t[-4:]]
-    if (abs(t[-1]) > 100
-            and all(b > 1.5 * a for a, b in zip(tail, tail[1:]))):
-        raise LimitDiverges("samples grow without settling: %.3g -> %.3g"
-                            % (tail[0], tail[-1]))
-    for m in range(1, len(xs)):
-        w = float(2 ** m)
-        t = [(w * t[i + 1] - t[i]) / (w - 1) for i in range(len(t) - 1)]
-    return t[0]
-
-
-def _limit_coefficients_numeric(fam):
-    def vf(sigma, k):
-        v = fam.entry(sigma, k)
-        if callable(v):
-            return v
-        return lambda e: v.evaluate({fam.parameter: e})
-
-    out = {}
-    for k in range(3):
-        ap, az, am = (vf(s, k) for s in ("plus", "zero", "minus"))
-        try:
-            out["b%d" % k] = richardson_limit(lambda e: (ap(e) + am(e)) / 2)
-            out["b%d1" % k] = richardson_limit(
-                lambda e: (ap(e) - am(e)) / e)
-            out["b%d0" % k] = richardson_limit(
-                lambda e: (ap(e) + am(e) + az(e)) / (e * e))
-        except LimitDiverges as exc:
-            raise LimitDiverges("degree-%d slot: %s" % (k, exc)) from exc
     return LimitData(**out)
 
 
@@ -417,9 +361,11 @@ def ode_series(ode: HeunODE, N=10):
     The operator is classified (and x^rho-normalized) first if needed;
     the returned coefficients expand the analytic factor, starting from
     c_0 = 1.  Raises IrregularAtZero when the origin is ramified and no
-    power branch exists, and Resonance when the recurrence denominator
-    vanishes at a finite order.
+    power branch exists, Resonance when the recurrence denominator
+    vanishes at a finite order, and ValueError for a negative N.
     """
+    if N < 0:
+        raise ValueError("N must be nonnegative, not %d" % N)
     if ode.class_ is None:
         ode = classify_ode(ode)
     if ode.class_ in ("THE", "Other"):
@@ -460,6 +406,8 @@ def crosscheck(fam: EpsilonFamily, eps, xs, N=12) -> float:
     (true for every shipped preset, whose unit root is exact).  The gaps
     stay exact up to one float conversion of their maximum; an empty xs
     or a nonzero maximum below the float range raises ValueError, not 0.0.
+    At eps = 0 (q = 1) the q-series recurrence is resonant at order 1:
+    Resonance, or DegenerateEquation if every origin corner vanishes.
     """
     xs = tuple(xs)
     if not xs:

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import xpoly
-from .qdiff import QDiffEq, ThreeTermRelation
+from .qdiff import QDiffEq
 from .symkernel import MPoly, RatFun, as_ratfun, sym
 
 
@@ -158,17 +158,6 @@ def invert_variable(eq: QDiffEq) -> QDiffEq:
         xpoly.reverse(eq.Z, d),
         xpoly.reverse(eq.P, d),
         eq.variable)
-
-
-def rebase(rel: ThreeTermRelation) -> QDiffEq:
-    """Convert a (q^2 x, q x, x) scalar relation to the (qx, x, x/q)
-    convention by substituting x -> x/q, then clear any x-dependent
-    denominators."""
-    v = sym(rel.variable)
-    q = sym("q")
-    shifted = rel.substitute({rel.variable: v / q})
-    return QDiffEq.from_scalar_coefficients(
-        shifted.up, shifted.mid, shifted.low, rel.variable)
 
 
 def _rebase_steps(eq: QDiffEq, steps: int) -> QDiffEq:

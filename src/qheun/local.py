@@ -170,8 +170,10 @@ def series_solution(eq: QDiffEq, binding, rootIndex=0, N=10):
     and for q.  The exponent value s is the rootIndex-th nonzero root
     (sorted) of the characteristic quadratic.  c[0] = 1 and each c[m]
     solves the order-m collected equation; a vanishing denominator
-    raises Resonance.
+    raises Resonance.  A negative N raises ValueError.
     """
+    if N < 0:
+        raise ValueError("N must be nonnegative, not %d" % N)
     binding = dict(binding or {})
     if "q" not in binding:
         raise UnboundParameter("the recurrence needs a numeric q")

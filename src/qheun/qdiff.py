@@ -131,8 +131,8 @@ class QDiffEq:
     def from_scalar_coefficients(P, Z, M, variable="x"):
         """Build an equation from three rational functions that still
         contain the shift variable, clearing denominators by their lcm.
-        The general path (``gauge.rebase``) and the tests' reference;
-        ``lax`` clears only the factors its constructions name."""
+        The tests' reference; no command calls it, since ``lax`` clears
+        only the factors its constructions name."""
         rows = [xpoly.from_ratfun(as_ratfun(r), variable) for r in (P, Z, M)]
         common = [as_ratfun(1)]
         for _, den in rows:

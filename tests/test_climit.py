@@ -28,7 +28,6 @@ from qheun.climit import (
     preset_names,
     preset_note,
     preset_target,
-    richardson_limit,
 )
 from qheun.local import Resonance, char_exponents
 from qheun.symkernel import UnknownParameter, sym
@@ -123,11 +122,6 @@ def test_preset_unit_root_is_exact(name):
     assert "exponent-0" in preset_note(name)
 
 
-def test_presets_are_symbolic():
-    for name in preset_names():
-        assert preset_family(name).is_symbolic()
-
-
 def test_heun_preset_equation_spot_values():
     eq = preset_family("heun").equation(F(1, 10))
     assert eq.coeff("P", 2).const_value() == F(99, 100)
@@ -158,6 +152,20 @@ def test_family_rejects_foreign_parameter():
     with pytest.raises(ValueError, match="only 'eps' is allowed"):
         EpsilonFamily(plus=(sym("t"), 0, 0), zero=(-2, 0, 0),
                       minus=(1, 0, 0))
+
+
+def test_family_refuses_an_inexact_entry():
+    # an entry is exact or refused: no callable or float reaches a limit
+    for entry in (lambda e: 1 + e, 0.5):
+        with pytest.raises(TypeError, match="cannot interpret"):
+            EpsilonFamily(plus=(entry, 0, 0), zero=(-2, 0, 0),
+                          minus=(1, 0, 0))
+
+
+def test_family_equation_at_a_pole_of_an_entry():
+    # heun's n2 = 1/(1 + eps): eps = -1 is q = 0
+    with pytest.raises(ZeroDivisionError):
+        preset_family("heun").equation(F(-1))
 
 
 def test_family_is_immutable():
@@ -384,6 +392,12 @@ def test_ode_series_counts_from_zero():
     ode = classify_ode(emit_ode(limit_coefficients(preset_family("heun"))))
     assert len(ode_series(ode, N=0)) == 1
     assert ode_series(ode, N=3)[:1] == [1]
+    # a negative order is refused, not read as N = 0: crosscheck would
+    # otherwise compare two one-term sums and report a perfect 0.0
+    with pytest.raises(ValueError, match="nonnegative"):
+        ode_series(ode, N=-1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        crosscheck(preset_family("heun"), F(1, 100), (F(1, 10),), N=-1)
 
 
 def test_ode_series_classifies_first():
@@ -431,49 +445,18 @@ def test_crosscheck_refuses_a_gap_below_the_float_range():
         crosscheck(preset_family("heun"), F(1, 10 ** 400), (F(1, 10),), N=12)
 
 
+def test_crosscheck_at_eps_zero_is_resonant():
+    # q = 1 zeroes the q-series recurrence denominator at order 1
+    with pytest.raises(Resonance, match="order 1"):
+        crosscheck(preset_family("heun"), 0, (F(1, 10),), N=12)
+
+
 def test_crosscheck_refuses_an_empty_sample():
     # no point, no gap: 0.0 would read as a perfect match; an iterator
     # has no length, so it must be taken in before the check
     for empty in ((), iter(()), (x for x in ())):
         with pytest.raises(ValueError, match="sample xs is empty"):
             crosscheck(preset_family("heun"), F(1, 100), empty, N=12)
-
-
-# -- numeric fallback ------------------------------------------------------
-
-def test_richardson_converging():
-    assert abs(richardson_limit(lambda e: (1 - e) ** 2) - 1) < 1e-9
-
-
-def test_richardson_diverging():
-    with pytest.raises(LimitDiverges):
-        richardson_limit(lambda e: 1 / e)
-
-
-def test_numeric_family_matches_exact():
-    exact = limit_coefficients(preset_family("heun"))
-
-    def wrap(sigma, k):
-        entry = preset_family("heun").entry(sigma, k)
-        return lambda e: float(entry.evaluate({"eps": e}))
-
-    fam = EpsilonFamily(
-        plus=tuple(wrap("plus", k) for k in range(3)),
-        zero=tuple(wrap("zero", k) for k in range(3)),
-        minus=tuple(wrap("minus", k) for k in range(3)))
-    assert not fam.is_symbolic()
-    hazy = limit_coefficients(fam)
-    for name, v in exact.as_dict().items():
-        assert abs(getattr(hazy, name) - float(v)) < 1e-6
-
-
-def test_numeric_family_divergence_is_reported():
-    fam = EpsilonFamily(
-        plus=(lambda e: 1 + 1 / e, lambda e: 0.0, lambda e: 0.0),
-        zero=(lambda e: -2.0, lambda e: 0.0, lambda e: 0.0),
-        minus=(lambda e: 1.0, lambda e: 0.0, lambda e: 0.0))
-    with pytest.raises(LimitDiverges, match="degree-0"):
-        limit_coefficients(fam)
 
 
 # -- randomized properties -------------------------------------------------

@@ -9,11 +9,10 @@ from hypothesis import given, strategies as st
 from qheun.gauge import (
     DomainError, NotDivisible, apply_record, eval_special, gauge_linear,
     gauge_move_factor, gauge_power, invert_record, invert_variable,
-    rebase, record_invert, record_linear, record_move_factor, record_power,
+    record_invert, record_linear, record_move_factor, record_power,
     record_rebase)
 from qheun.qdiff import (
-    NAMED_FORMS, QDiffEq, ThreeTermRelation, classify, equations_equal,
-    equations_proportional)
+    NAMED_FORMS, QDiffEq, classify, equations_equal, equations_proportional)
 from qheun.symkernel import parse_expr, rat, ratfun_eq, sym
 
 U = ["q", "t", "a", "b", "c", "g1", "g2", "b1", "b0", "k1", "l", "x"]
@@ -253,31 +252,7 @@ def test_mirror_map_is_an_involution():
 
 
 # ---------------------------------------------------------------------------
-# rebase
-
-
-def test_rebase_constant_coefficients():
-    rel = ThreeTermRelation(P("a"), P("b"), P("c"))
-    e = rebase(rel)
-    assert list(e.P) == [sym("a")]
-    assert list(e.Z) == [sym("b")]
-    assert list(e.M) == [sym("c")]
-
-
-def test_rebase_monomial_scaling():
-    rel = ThreeTermRelation(P("x^2"), P("1"), P("0"))
-    e = rebase(rel)
-    assert e.coeff("P", 2) == P("1/q^2")
-    assert list(e.Z) == [rat(1)]
-
-
-def test_rebase_clears_shifted_denominator():
-    rel = ThreeTermRelation(P("1/(x - t)"), P("1"), P("x"))
-    e = rebase(rel)
-    assert list(e.P) == [sym("q")]
-    assert list(e.Z) == [-sym("q") * sym("t"), rat(1)]
-    assert e.coeff("M", 1) == -sym("t")
-    assert e.coeff("M", 2) == P("1/q")
+# rebase steps
 
 
 def test_rebase_steps_record_roundtrip():

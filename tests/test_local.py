@@ -330,6 +330,8 @@ def test_root_index_out_of_range():
     eq = _eq("1", "-2", "1")
     with pytest.raises(ValueError):
         series_solution(eq, {"q": Fraction(1, 2)}, rootIndex=2, N=5)
+    with pytest.raises(ValueError, match="nonnegative"):
+        series_solution(eq, {"q": Fraction(1, 2)}, rootIndex=0, N=-1)
 
 
 def test_catalog_series_residual_bound():
