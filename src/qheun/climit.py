@@ -12,6 +12,7 @@ valuation, so the limit data is exact; there is no sampled or float
 route into the limit.
 """
 
+from collections import namedtuple
 from fractions import Fraction
 
 from .symkernel import (DivergesAtZero, as_ratfun, limit_at_zero,
@@ -59,30 +60,31 @@ def _coerce_entry(value, parameter):
     return r
 
 
-class EpsilonFamily:
-    """Nine coefficient slots a[sigma][k] depending on one small parameter.
+class EpsilonFamily(namedtuple("_EpsilonFamily", "plus zero minus")):
+    """Nine coefficient slots a[sigma][k] depending on one small parameter,
+    as an immutable named-tuple record of three rows.
 
     sigma = "plus" multiplies g(q*x), "zero" multiplies g(x) and "minus"
     multiplies g(x/q); k in {0, 1, 2} is the x-degree of the slot, and
     q = 1 + eps.  Each entry is exact: a string parsed in eps, an int, a
     Fraction, or an MPoly or RatFun in eps.  Anything else, a float or a
     callable included, raises TypeError; another variable, ValueError.
+    ``_replace`` and ``_make`` build a record without these checks.
     """
 
-    __slots__ = ("plus", "zero", "minus")
+    __slots__ = ()
 
     #: the name of the small parameter in the entries
     parameter = "eps"
 
-    def __init__(self, plus, zero, minus):
-        for name, row in (("plus", plus), ("zero", zero), ("minus", minus)):
+    def __new__(cls, plus, zero, minus):
+        rows = (plus, zero, minus)
+        for name, row in zip(cls._fields, rows):
             if len(row) != 3:
                 raise ValueError("row %r must have exactly 3 entries" % name)
-            object.__setattr__(self, name, tuple(
-                _coerce_entry(v, self.parameter) for v in row))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("EpsilonFamily is immutable")
+        return super().__new__(cls, *(
+            tuple(_coerce_entry(v, cls.parameter) for v in row)
+            for row in rows))
 
     def entry(self, sigma, k):
         if sigma not in SIGMAS:
@@ -115,21 +117,21 @@ def _coerce_int(value):
     return Fraction(value) if isinstance(value, int) else value
 
 
-class LimitData:
-    """The nine limit coefficients, graded by x-degree and by order.
+class LimitData(namedtuple("_LimitData",
+                           "b2 b1 b0 b21 b11 b01 b20 b10 b00")):
+    """The nine limit coefficients, graded by x-degree and by order, as an
+    immutable named-tuple record.
 
     b2, b1, b0 multiply g''; b21, b11, b01 correct the g' row; b20, b10,
-    b00 make up the g row.  Integer entries are stored as Fractions.
+    b00 make up the g row.  Integer entries are stored as Fractions, except
+    in a record built by ``_replace`` or ``_make``, which skip that step.
     """
 
-    __slots__ = ("b2", "b1", "b0", "b21", "b11", "b01", "b20", "b10", "b00")
+    __slots__ = ()
 
-    def __init__(self, b2, b1, b0, b21, b11, b01, b20, b10, b00):
-        for name in self.__slots__:
-            object.__setattr__(self, name, _coerce_int(locals()[name]))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LimitData is immutable")
+    def __new__(cls, *args, **kw):
+        # the base binds the arguments to the nine fields
+        return cls._make(map(_coerce_int, super().__new__(cls, *args, **kw)))
 
     def row(self, k):
         """(b_k, b_k1, b_k0) for one x-degree k."""
@@ -138,17 +140,11 @@ class LimitData:
                 getattr(self, "b%d0" % k))
 
     def as_dict(self):
-        return {name: getattr(self, name) for name in self.__slots__}
-
-    def __eq__(self, other):
-        if not isinstance(other, LimitData):
-            return NotImplemented
-        return all(getattr(self, n) == getattr(other, n)
-                   for n in self.__slots__)
+        return self._asdict()
 
     def __repr__(self):
         return "LimitData(%s)" % ", ".join(
-            "%s=%s" % (n, getattr(self, n)) for n in self.__slots__)
+            "%s=%s" % item for item in self._asdict().items())
 
 
 def _limit_value(expr, parameter, what):
@@ -198,8 +194,10 @@ def limit_coefficients(fam: EpsilonFamily) -> LimitData:
     return LimitData(**out)
 
 
-class HeunODE:
-    """Operator data of  x^2*S(x)*g'' + x*F(x)*g' + Q(x)*g = 0.
+class HeunODE(namedtuple("_HeunODE", "second first zeroth class_ rho "
+                                     "limits singularities")):
+    """Operator data of  x^2*S(x)*g'' + x*F(x)*g' + Q(x)*g = 0, as an
+    immutable named-tuple record.
 
     second, first and zeroth hold the coefficient tuples of S, F and Q
     by ascending degree (quadratic rows for everything the q -> 1 limit
@@ -207,25 +205,19 @@ class HeunODE:
     entries stored as Fractions and trailing zeros dropped.  class_ is None
     until classify_ode fills it; rho records the power-law prefactor
     x^rho split off to clear the constant slot of the zeroth row.
+    ``_replace`` and ``_make`` build a record without the trim and the
+    all-zero check.
     """
 
-    __slots__ = ("second", "first", "zeroth", "class_", "rho", "limits",
-                 "singularities")
+    __slots__ = ()
 
-    def __init__(self, second, first, zeroth, class_=None, rho=None,
-                 limits=None, singularities=None):
-        object.__setattr__(self, "second", _trim(second))
-        object.__setattr__(self, "first", _trim(first))
-        object.__setattr__(self, "zeroth", _trim(zeroth))
-        if not (self.second or self.first or self.zeroth):
+    def __new__(cls, second, first, zeroth, class_=None, rho=None,
+                limits=None, singularities=None):
+        second, first, zeroth = _trim(second), _trim(first), _trim(zeroth)
+        if not (second or first or zeroth):
             raise AllZero("every coefficient row is zero")
-        object.__setattr__(self, "class_", class_)
-        object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "limits", limits)
-        object.__setattr__(self, "singularities", singularities)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HeunODE is immutable")
+        return super().__new__(cls, second, first, zeroth, class_, rho,
+                               limits, singularities)
 
     def coefficient(self, row, k):
         """Entry k of one row; Fraction(0) beyond the stored degree."""
@@ -259,7 +251,7 @@ def _trim(row):
 
 def emit_ode(b: LimitData) -> HeunODE:
     """Assemble the limiting differential operator from limit data."""
-    if all(v == 0 for v in b.as_dict().values()):
+    if all(v == 0 for v in b):
         raise AllZero("all nine limit coefficients vanish")
     return HeunODE(
         (b.b0, b.b1, b.b2),
@@ -312,7 +304,7 @@ def classify_ode(ode: HeunODE) -> HeunODE:
             raise Unclassifiable(
                 "origin exponent relation not satisfied (residual %r)"
                 % (b.b00,))
-        b = LimitData(**dict(b.as_dict(), b00=0))
+        b = b._replace(b00=_ZERO)
 
     if b.b2 != 0:
         if b.b0 == 0:
@@ -376,7 +368,7 @@ def ode_series(ode: HeunODE, N=10):
         raise IrregularAtZero(
             "origin is ramified (b0 = 0 and b01 = 0); the slot carries "
             "no exponent equation")
-    exact = all(isinstance(v, (int, Fraction)) for v in b.as_dict().values())
+    exact = all(isinstance(v, (int, Fraction)) for v in b)
     c = [Fraction(1) if exact else 1.0]
     for m in range(1, N + 1):
         den = m * (b.b0 * m + b.b01)

@@ -859,12 +859,19 @@ def verify_family(catalog, family, binding=None):
     SubstitutionSingular when the binding zeroes a denominator of the
     constraint, the row or its closed form.  That includes a binding that
     makes the surface entry 0 where a denominator holds it: kny D5 with
-    k1 = 0 puts n8 = 0, and the D5 pencil divides by n8.
+    k1 = 0 puts n8 = 0, and the D5 pencil divides by n8.  So is a kny
+    binding that, with the surface entry, puts n4 = 0: every kny pencil
+    divides by f, which the derivation freezes at n4.
     """
     binding = {name: as_ratfun(value)
                for name, value in (binding or {}).items()}
     surface = _surface(family, binding)
-    derived = derive_equation(catalog, family, {**binding, **surface})
+    at = {**binding, **surface}
+    derived = derive_equation(catalog, family, at)
+    if catalog == "kny" and "n4" in at and at["n4"].is_zero:
+        raise SubstitutionSingular("%s binding puts n4 = 0, where the frozen "
+                                   "f of the pencil's 1/f term vanishes"
+                                   % family)
     reference = reference_equation(catalog, family)
     row = _surface_row(catalog, family, next(iter(surface), None))
     top = max(reference.degree, derived.degree)

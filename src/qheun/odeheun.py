@@ -26,6 +26,7 @@ cannot collide with the small expansion parameter used by climit.
 """
 
 import math
+from collections import namedtuple
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -68,60 +69,55 @@ def _close(a, b):
 
 
 class HeunParams:
-    """Common behaviour of the five parameter records."""
+    """Common behaviour of the five parameter records.
+
+    Each record is an immutable named tuple of its class's FIELDS, with
+    this class first among its bases.  Integer and Fraction fields are
+    stored as Fractions and the class's exact relations are checked on
+    construction; ``_replace`` and ``_make`` skip both steps.  Two records
+    are equal when their classes and their fields agree.
+    """
 
     CLASS = None
     FIELDS = ()
     __slots__ = ()
 
-    def __init__(self, *args, **kw):
-        names = self.FIELDS
-        if len(args) > len(names):
-            raise TypeError("%s takes %d parameters" % (
-                type(self).__name__, len(names)))
-        got = dict(zip(names, args))
-        for k, v in kw.items():
-            if k not in names:
-                raise TypeError("unknown parameter %r" % k)
-            if k in got:
-                raise TypeError("parameter %r given twice" % k)
-            got[k] = v
-        missing = [n for n in names if n not in got]
-        if missing:
-            raise TypeError("missing parameters: %s" % ", ".join(missing))
-        for n in names:
-            object.__setattr__(self, n, _coerce(got[n], n))
+    def __init_subclass__(cls, **kw):
+        super().__init_subclass__(**kw)
+        cls.FIELDS = cls._fields
+
+    def __new__(cls, *args, **kw):
+        # the named-tuple base binds the arguments to the fields
+        raw = super().__new__(cls, *args, **kw)
+        self = cls._make(map(_coerce, raw, cls._fields))
         self._validate()
+        return self
 
     def _validate(self):
         pass
 
-    def __setattr__(self, name, value):
-        raise AttributeError("%s is immutable" % type(self).__name__)
-
     def as_dict(self):
-        d = {"class": self.CLASS}
-        d.update((n, getattr(self, n)) for n in self.FIELDS)
-        return d
+        return {"class": self.CLASS, **self._asdict()}
 
     def __eq__(self, other):
         if not isinstance(other, HeunParams):
             return NotImplemented
-        return (self.CLASS == other.CLASS and
-                all(getattr(self, n) == getattr(other, n)
-                    for n in self.FIELDS))
+        return self.CLASS == other.CLASS and tuple.__eq__(self, other)
 
-    def __hash__(self):
-        return hash((self.CLASS,) + tuple(
-            str(getattr(self, n)) for n in self.FIELDS))
+    def __ne__(self, other):
+        # tuple.__ne__ precedes object.__ne__ in the records' bases
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
+
+    __hash__ = tuple.__hash__
 
     def __repr__(self):
-        body = ", ".join("%s=%s" % (n, getattr(self, n))
-                         for n in self.FIELDS)
+        body = ", ".join("%s=%s" % item for item in self._asdict().items())
         return "%s(%s)" % (type(self).__name__, body)
 
 
-class HEParams(HeunParams):
+class HEParams(HeunParams,
+               namedtuple("_HE", "alpha beta gamma delta ehat t accessory")):
     """Four regular points 0, 1, t, infinity.
 
     The exponent weights satisfy gamma + delta + ehat = alpha + beta + 1
@@ -130,8 +126,7 @@ class HEParams(HeunParams):
     """
 
     CLASS = "HE"
-    FIELDS = ("alpha", "beta", "gamma", "delta", "ehat", "t", "accessory")
-    __slots__ = FIELDS
+    __slots__ = ()
 
     def _validate(self):
         lhs = self.gamma + self.delta + self.ehat
@@ -149,12 +144,12 @@ class HEParams(HeunParams):
         return {"regular": (0, 1, self.t, "Infinity"), "irregular": ()}
 
 
-class CHEParams(HeunParams):
+class CHEParams(HeunParams,
+                namedtuple("_CHE", "alpha beta gamma delta accessory")):
     """Regular points 0 and 1, irregular point at infinity."""
 
     CLASS = "CHE"
-    FIELDS = ("alpha", "beta", "gamma", "delta", "accessory")
-    __slots__ = FIELDS
+    __slots__ = ()
 
     def _validate(self):
         if self.beta == 0:
@@ -167,23 +162,21 @@ class CHEParams(HeunParams):
         return {"regular": (0, 1), "irregular": ("Infinity",)}
 
 
-class BHEParams(HeunParams):
+class BHEParams(HeunParams, namedtuple("_BHE", "alpha gamma delta accessory")):
     """Regular origin, irregular infinity of doubled rank."""
 
     CLASS = "BHE"
-    FIELDS = ("alpha", "gamma", "delta", "accessory")
-    __slots__ = FIELDS
+    __slots__ = ()
 
     def singular_points(self):
         return {"regular": (0,), "irregular": ("Infinity",)}
 
 
-class DHEParams(HeunParams):
+class DHEParams(HeunParams, namedtuple("_DHE", "alpha gamma delta accessory")):
     """Irregular points at both the origin and infinity."""
 
     CLASS = "DHE"
-    FIELDS = ("alpha", "gamma", "delta", "accessory")
-    __slots__ = FIELDS
+    __slots__ = ()
 
     def _validate(self):
         if self.delta == 0:
@@ -194,12 +187,11 @@ class DHEParams(HeunParams):
         return {"regular": (), "irregular": (0, "Infinity")}
 
 
-class THEParams(HeunParams):
+class THEParams(HeunParams, namedtuple("_THE", "alpha gamma accessory")):
     """Single irregular point at infinity; the origin is ordinary."""
 
     CLASS = "THE"
-    FIELDS = ("alpha", "gamma", "accessory")
-    __slots__ = FIELDS
+    __slots__ = ()
 
     def singular_points(self):
         return {"regular": (), "irregular": ("Infinity",)}
@@ -307,8 +299,7 @@ def _match_he(ode):
         B = -(q[1] * sigma / n)
         candidates.append(
             HEParams(alpha, beta, gamma, delta, ehat, t, B))
-    candidates.sort(key=lambda c: tuple(_key(getattr(c, n))
-                                        for n in HEParams.FIELDS))
+    candidates.sort(key=lambda c: tuple(map(_key, c)))
     return candidates[0]
 
 

@@ -12,6 +12,7 @@ Z = -B, M = C, so a "B coefficient vanishes" condition is exactly a
 "Z coefficient vanishes" condition here.
 """
 
+from collections import namedtuple
 from typing import NamedTuple, Optional
 
 from . import xpoly
@@ -23,17 +24,19 @@ CONVENTION = "P*f(q*x) + Z*f(x) + M*f(x/q) = 0"
 COLUMNS = ("M", "Z", "P")
 
 
-class QDiffEq:
-    """A three-term q-difference equation with polynomial coefficients.
+class QDiffEq(namedtuple("_QDiffEq", "P Z M variable")):
+    """A three-term q-difference equation with polynomial coefficients,
+    as an immutable named-tuple record.
 
     P, Z, M are tuples of x-free RatFun values indexed by x-degree,
     trimmed of trailing zeros.  At least one coefficient must be nonzero.
+    ``_replace`` and ``_make`` build a record without these checks.
     """
 
-    __slots__ = ("P", "Z", "M", "variable")
+    __slots__ = ()
     convention = CONVENTION
 
-    def __init__(self, P, Z, M, variable="x"):
+    def __new__(cls, P, Z, M, variable="x"):
         P = tuple(xpoly.trim(P))
         Z = tuple(xpoly.trim(Z))
         M = tuple(xpoly.trim(M))
@@ -46,17 +49,7 @@ class QDiffEq:
                         "coefficient contains the shift variable %r; "
                         "coefficients must be parameter expressions indexed "
                         "by degree" % variable)
-        object.__setattr__(self, "P", P)
-        object.__setattr__(self, "Z", Z)
-        object.__setattr__(self, "M", M)
-        object.__setattr__(self, "variable", variable)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QDiffEq is immutable")
-
-    def __reduce__(self):
-        # pickle and copy rebuild through the constructor, not __setattr__
-        return QDiffEq, (self.P, self.Z, self.M, self.variable)
+        return super().__new__(cls, P, Z, M, variable)
 
     @property
     def degree(self) -> int:
@@ -156,28 +149,20 @@ class QDiffEq:
             [str(c) for c in self.M])
 
 
-class ThreeTermRelation:
+class ThreeTermRelation(namedtuple("_ThreeTermRelation",
+                                   "up mid low variable")):
     """A scalar relation U(x)*y(q^2*x) + V(x)*y(q*x) + W(x)*y(x) = 0 whose
-    coefficients are rational functions containing the shift variable."""
+    coefficients are rational functions containing the shift variable, as
+    an immutable named-tuple record (``_replace`` skips the checks)."""
 
-    __slots__ = ("up", "mid", "low", "variable")
+    __slots__ = ()
     convention = "U*y(q^2*x) + V*y(q*x) + W*y(x) = 0"
 
-    def __init__(self, up, mid, low, variable="x"):
+    def __new__(cls, up, mid, low, variable="x"):
         up, mid, low = as_ratfun(up), as_ratfun(mid), as_ratfun(low)
         if up.is_zero and mid.is_zero and low.is_zero:
             raise ValueError("all coefficients are identically zero")
-        object.__setattr__(self, "up", up)
-        object.__setattr__(self, "mid", mid)
-        object.__setattr__(self, "low", low)
-        object.__setattr__(self, "variable", variable)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ThreeTermRelation is immutable")
-
-    def __reduce__(self):
-        return ThreeTermRelation, (self.up, self.mid, self.low,
-                                   self.variable)
+        return super().__new__(cls, up, mid, low, variable)
 
     def substitute(self, binding) -> "ThreeTermRelation":
         return ThreeTermRelation(

@@ -11,7 +11,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qheun import lax, xpoly
+from qheun import climit, lax, odeheun, xpoly
 from qheun.cli import run, write_equation
 from qheun.gauge import gauge_linear
 from qheun.lax import (KNY_FAMILIES, KNY_GAUGED, KNYParams, InvariantViolation,
@@ -356,10 +356,30 @@ def test_binding_that_kills_a_denominator():
     ("kny", "E2b", {"k2": 0}),
     # n4 = k1 = 0 holds the balance for every n8, and the row divides by n4
     ("kny", "D5", {"n4": 0, "k1": 0}),
+    # every kny pencil divides by f, frozen at n4: with n4 = 0 and k1 = 0
+    # or k2 = 0 the surface is empty, and the comparison reported false
+    # mismatches
+    ("kny", "E2b", {"n4": 0, "k1": 0}),
+    ("kny", "A1w", {"n4": 0, "k1": 0}),
+    ("kny", "E3b", {"n4": 0, "k1": 0}),
+    ("kny", "E2b", {"n4": 0, "k2": 0}),
+    ("kny", "A1w", {"n4": 0, "k2": 0}),
+    # n5..n8 bound: the balance is solved for n4, which k1 = 0 makes 0
+    ("kny", "E3b", {"n5": 1, "n6": 1, "n7": 1, "n8": 1, "k1": 0}),
 ])
 def test_verify_binding_that_kills_a_denominator(catalog, family, binding):
     with pytest.raises(SubstitutionSingular):
         verify_family(catalog, family, binding)
+
+
+@pytest.mark.parametrize("catalog, family, binding", [
+    # the bound constraint vanishes on a pencil that stays regular
+    ("murata", "A4", {"th1": 0, "a1": 0}),
+    ("kny", "E2b", {"n1": 0, "k1": 0}),
+])
+def test_verify_matches_where_the_constraint_vanishes(catalog, family,
+                                                       binding):
+    assert verify_family(catalog, family, binding)["match"] is True
 
 
 @pytest.mark.parametrize("binding", [
@@ -687,8 +707,17 @@ def test_records_survive_pickle_and_deepcopy():
     bare = [lax.KNYOperator("D5", rat(1), rat(1), rat(1)),
             lax.LaxMatrix("A5", rat(1), rat(2), rat(3), rat(4))]
     bare[1].det()
+    # the limit records of a preset, and one record of each parameter class
+    fam = climit.preset_family("heun")
+    limits = climit.limit_coefficients(fam)
+    ode = climit.classify_ode(climit.emit_ode(limits))
+    params = [odeheun.match_class(ode), odeheun.CHEParams(1, 2, 3, 4, 5),
+              odeheun.BHEParams(1, 2, 3, 4), odeheun.DHEParams(1, 2, 3, 4),
+              odeheun.THEParams(1, 2, 3)]
+    assert [type(p) for p in params] == list(odeheun.PARAM_CLASSES.values())
     records = [eq.Z[0].num, eq.Z[0], eq, mat, scalar_reduce(mat),
-               build_kny(KNYParams("E3b", {"q": 3})), sol] + bare
+               build_kny(KNYParams("E3b", {"q": 3})), sol,
+               fam, limits, ode] + params + bare
     for record in records:
         for twin in (pickle.loads(pickle.dumps(record)),
                      copy.deepcopy(record)):

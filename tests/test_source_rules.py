@@ -61,6 +61,21 @@ def test_only_symkernel_imports_the_term_kernel(path):
         path.name, hits)
 
 
+def _object_setattr(node):
+    return (isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+            and isinstance(node.value, ast.Name) and node.value.id == "object")
+
+
+@pytest.mark.parametrize("path", _SOURCES, ids=lambda p: p.name)
+def test_only_the_kernel_types_bypass_setattr(path):
+    # value records are named tuples; only MPoly and RatFun in symkernel
+    # fill their slots through object.__setattr__
+    hits = [node.lineno for node in ast.walk(_tree(path))
+            if _object_setattr(node)]
+    assert path.name == "symkernel.py" or not hits, (
+        "%s calls object.__setattr__ on line(s) %s" % (path.name, hits))
+
+
 def _int_literal(node):
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
         node = node.operand
