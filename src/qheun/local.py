@@ -6,6 +6,11 @@ built from the constant coefficient slots, at infinity the top-degree
 balance gives the mirrored quadratic.  Generic series coefficients then
 follow from a first-order recurrence; a vanishing recurrence denominator
 is reported as resonance rather than patched with logarithms.
+
+Exact data stays exact, an int q included.  The recurrence multipliers
+and the residual's terms are then built from integer parts: one
+Fraction normalisation per multiplier, and one per residual.  Float or
+complex data take plain arithmetic.
 """
 
 import math
@@ -163,6 +168,30 @@ def _side_values(eq, binding):
     return out
 
 
+def _exact(*values):
+    return all(isinstance(v, (int, Fraction)) for v in values)
+
+
+def _integer_parts(up, mid, low, q, top, x=1):
+    """[(num_n, den_n) for n = 0..top], num_n/den_n = x^n (up q^n + mid +
+    low q^-n), for exact data and q != 0, unreduced.
+
+    With q = a/b, x = c/d and up, mid, low = (U, Z, L)/D over one
+    integer denominator, num_n = c^n (U a^2n + Z a^n b^n + L b^2n) and
+    den_n = D d^n a^n b^n.
+    """
+    values = [Fraction(v) for v in (up, mid, low)]
+    lcd = math.lcm(*(v.denominator for v in values))
+    u, z, l = (v.numerator * (lcd // v.denominator) for v in values)
+    (a, b), (c, d) = q.as_integer_ratio(), x.as_integer_ratio()
+    out, an, bn, cn, dn = [], 1, 1, 1, 1
+    for _ in range(top + 1):
+        out.append((cn * ((u * an + z * bn) * an + l * bn * bn),
+                    lcd * dn * an * bn))
+        an, bn, cn, dn = an * a, bn * b, cn * c, dn * d
+    return out
+
+
 def series_solution(eq: QDiffEq, binding, rootIndex=0, N=10):
     """Series coefficients c[0..N] at the origin for one exponent choice.
 
@@ -171,6 +200,15 @@ def series_solution(eq: QDiffEq, binding, rootIndex=0, N=10):
     (sorted) of the characteristic quadratic.  c[0] = 1 and each c[m]
     solves the order-m collected equation; a vanishing denominator
     raises Resonance.  A negative N raises ValueError.
+
+    Exact data (q a nonzero int or Fraction, s and every side value
+    exact) gives Fraction coefficients; an int q counts as the Fraction
+    it equals.  With q = a/b, the multiplier P_k s q^n + Z_k + M_k q^-n/s
+    of c[n] from degree k is (P_k s a^2n + Z_k a^n b^n + M_k/s b^2n) /
+    (a^n b^n): the three constants of each degree go over one integer
+    denominator once, and each multiplier is one Fraction of two ints.
+    Float or complex data, and q = 0 (a^n b^n = 0; a nonzero M then
+    divides by zero), take the same recurrence in plain arithmetic.
     """
     if N < 0:
         raise ValueError("N must be nonnegative, not %d" % N)
@@ -186,14 +224,21 @@ def series_solution(eq: QDiffEq, binding, rootIndex=0, N=10):
                          % (rootIndex, len(roots)))
     s = roots[rootIndex]
 
-    def slot(k, n):
-        # multiplier of c[n] coming from degree-k coefficient slots
-        total = zv[k]
-        if pv[k]:
-            total += pv[k] * s * q ** n
-        if mv[k]:
-            total += mv[k] * q ** (-n) / s
-        return total
+    if q and _exact(q, s, *pv, *zv, *mv):
+        parts = [_integer_parts(p * s, z, m / s, q, N)
+                 for p, z, m in zip(pv, zv, mv)]
+
+        def slot(k, n):
+            return Fraction(*parts[k][n])
+    else:
+        def slot(k, n):
+            # multiplier of c[n] coming from degree-k coefficient slots
+            total = zv[k]
+            if pv[k]:
+                total += pv[k] * s * q ** n
+            if mv[k]:
+                total += mv[k] * q ** (-n) / s
+            return total
 
     coeffs = [1]
     top = eq.degree
@@ -212,23 +257,38 @@ def residual(eq: QDiffEq, sol: SeriesSolution, x):
     """|P(x) s f(qx) + Z(x) f(x) + M(x) f(x/q)/s| on the truncated series.
 
     The common factor x^r is dropped, leaving sum_n c[n] x^n (s P(x) q^n
-    + Z(x) + M(x) q^-n/s) with ``eq`` bound at ``sol.binding``.  Exact
-    terms share one running denominator and are normalised once, at the
-    end; float and complex terms go into a plain running sum.
+    + Z(x) + M(x) q^-n/s) with ``eq`` bound at ``sol.binding``.  When q
+    (nonzero), s, x and the side values are exact, write q = a/b, x = c/d
+    and s P(x), Z(x), M(x)/s = (U, Z, L)/D over one integer denominator:
+    an exact c[n] then adds the integer pair c[n].numerator c^n (U a^2n +
+    Z a^n b^n + L b^2n) over c[n].denominator D d^n a^n b^n.  Any other
+    exact term is built in plain arithmetic.  Exact terms fold unreduced
+    into one running numerator and denominator, normalised once, at the
+    end; float and complex terms go into a plain running sum.  At q = 0
+    a term past c[0] divides by zero: f(x/q) has no value there.
     """
     sides = _side_values(eq, sol.binding)
     q, s = sol.q, sol.s
     up, mid, low = (sum(v * x ** k for k, v in enumerate(sides[name]))
                     for name in "PZM")
     up, low = up * s, low / s
+    exact = bool(q) and _exact(q, s, x, *sides["P"], *sides["Z"],
+                               *sides["M"])
+    if exact:
+        parts = _integer_parts(up, mid, low, q, len(sol.coefficients) - 1, x)
     num, den, inexact = 0, 1, 0
-    for n, c in enumerate(sol.coefficients):
-        term = c * (x ** n * (up * q ** n + mid + low * q ** (-n)))
-        if isinstance(term, (int, Fraction)):
-            # the denominators nest along the series, so this gcd is cheap
-            g = math.gcd(den, term.denominator)
-            num = num * (term.denominator // g) + term.numerator * (den // g)
-            den = den // g * term.denominator
+    for n, coef in enumerate(sol.coefficients):
+        if exact and isinstance(coef, (int, Fraction)):
+            tnum = coef.numerator * parts[n][0]
+            tden = coef.denominator * parts[n][1]
         else:
-            inexact += term
+            term = coef * (x ** n * (up * q ** n + mid + low * q ** (-n)))
+            if not isinstance(term, (int, Fraction)):
+                inexact += term
+                continue
+            tnum, tden = term.numerator, term.denominator
+        # the denominators nest along the series, so this gcd is cheap
+        g = math.gcd(den, tden)
+        num = num * (tden // g) + tnum * (den // g)
+        den = den // g * tden
     return abs(Fraction(num, den) + inexact)

@@ -421,6 +421,27 @@ def test_murata_binding_that_kills_a_denominator(family, binding):
         verify_family("murata", family, binding)
 
 
+@pytest.mark.parametrize("family, binding", [
+    # the paper recipe sets l = a1*t, which t = 0 makes 0
+    ("A5", {"t": 0}),
+    ("A6", {"t": 0}),
+    # the alt recipe sets m = th1*t/(q*k1*k2) + d*l, which th1*t = 0 sends
+    # to 0 with l
+    ("A7p", {"t": 0}),
+    ("A7p", {"th1": 0}),
+])
+def test_verify_refuses_a_recipe_value_sent_to_zero(family, binding):
+    # the derivation still runs there (its bytes are pinned); only the
+    # comparison with the recorded row, which the derived equation does
+    # not reach continuously, is refused, as binding l or m = 0 is
+    derive_equation("murata", family, binding)
+    with pytest.raises(SubstitutionSingular, match="sends [lm] = .* to 0"):
+        verify_family("murata", family, binding)
+    # the same names at a nonzero value still match
+    assert verify_family("murata", family,
+                         {name: 2 for name in binding})["match"] is True
+
+
 @pytest.mark.parametrize("family", KNY_FAMILIES)
 def test_cleared_equation_proportional_to_pencil(family):
     rng = random.Random(97531 + KNY_FAMILIES.index(family))

@@ -449,3 +449,222 @@ def test_records_unpack_and_are_immutable():
     for record, field in ((cz, "roots"), (sol, "s")):
         with pytest.raises(AttributeError):
             setattr(record, field, None)
+
+
+# -- the exact path against the plain recurrence -----------------------------
+#
+# series_solution and residual build exact data from integer parts; these
+# are the plain loops they replaced, which every type of data still takes
+# when q, s, x or a side value is inexact (and at q = 0).
+
+def _plain_series(sides, q, s, N):
+    pv, zv, mv = sides["P"], sides["Z"], sides["M"]
+
+    def slot(k, n):
+        total = zv[k]
+        if pv[k]:
+            total += pv[k] * s * q ** n
+        if mv[k]:
+            total += mv[k] * q ** (-n) / s
+        return total
+
+    coeffs = [1]
+    top = len(pv) - 1
+    for m in range(1, N + 1):
+        den = slot(0, m)
+        if not den:
+            raise Resonance("recurrence denominator vanishes at order %d" % m)
+        acc = 0
+        for n in range(max(0, m - top), m):
+            acc += slot(m - n, n) * coeffs[n]
+        coeffs.append(-acc / den)
+    return tuple(coeffs)
+
+
+def _plain_residual(sides, q, s, coefficients, x):
+    up, mid, low = (sum(v * x ** k for k, v in enumerate(sides[name]))
+                    for name in "PZM")
+    up, low = up * s, low / s
+    exact, inexact = 0, 0
+    for n, c in enumerate(coefficients):
+        term = c * (x ** n * (up * q ** n + mid + low * q ** (-n)))
+        if isinstance(term, (int, Fraction)):
+            exact += term
+        else:
+            inexact += term
+    return abs(Fraction(exact) + inexact)
+
+
+def _outcome(call):
+    """The value with the types inside it, or the exception raised."""
+    try:
+        value = call()
+    except ArithmeticError as exc:
+        return type(exc).__name__, str(exc)
+    items = value if isinstance(value, tuple) else (value,)
+    return value, [type(v) for v in items]
+
+
+def _agree(eq, binding, index, N, xs):
+    """series_solution and residual equal the plain loops, types too."""
+    sol = series_solution(eq, binding, index, 0)
+    q, s, sides = binding["q"], sol.s, sol.sides
+    got = _outcome(lambda: series_solution(eq, binding, index,
+                                           N).coefficients)
+    assert got == _outcome(lambda: _plain_series(sides, q, s, N))
+    if isinstance(got[0], tuple):
+        sol = series_solution(eq, binding, index, N)
+        for x in xs:
+            assert (_outcome(lambda: residual(eq, sol, x))
+                    == _outcome(lambda: _plain_residual(
+                        sides, q, s, sol.coefficients, x)))
+    return got
+
+
+def test_an_int_q_stays_exact():
+    # 2 ** -n is a float, so an int q used to give float coefficients
+    eq = _eq("1", "-3 + x", "2")
+    sol = series_solution(eq, {"q": 2}, 1, 8)
+    exact = series_solution(eq, {"q": Fraction(2)}, 1, 8)
+    assert sol.s == 2 and sol.q == 2 and type(sol.q) is int
+    assert all(type(c) is Fraction for c in sol.coefficients[1:])
+    assert sol.coefficients == exact.coefficients
+    value = residual(eq, sol, Fraction(1, 3))
+    assert type(value) is Fraction
+    assert value == residual(eq, exact, Fraction(1, 3))
+    assert residual(eq, sol, 2) == residual(eq, exact, 2)
+
+
+def test_q_zero_takes_the_plain_loop():
+    # with M = 0 nothing divides by q, and the series expands at q = 0;
+    # a^n b^n = 0 there, so q = 0 stays on the plain recurrence
+    eq = _eq("-1", "1 - x", "0")
+    for q in (0, Fraction(0)):
+        # -f(0) + (1 - x) f(x) = 0: f = 1/(1 - x)
+        assert _agree(eq, {"q": q}, 0, 6, ())[0] == (1,) * 7
+        # M(x) f(x/q) has no value at q = 0: past c[0] that divides by 0
+        sol = series_solution(eq, {"q": q}, 0, 6)
+        with pytest.raises(ZeroDivisionError):
+            residual(eq, sol, Fraction(1, 2))
+        assert residual(eq, series_solution(eq, {"q": q}, 0, 0), 2) == 2
+    # an M that is not 0 divides by q^n at the first order, as it did
+    with pytest.raises(ZeroDivisionError):
+        series_solution(_eq("1", "-3 + x", "2"), {"q": Fraction(0)}, 0, 3)
+
+
+@pytest.mark.parametrize("q, order", [
+    (Fraction(1, 2), 1), (Fraction(1, 2), 3), (Fraction(-1, 2), 3),
+    (Fraction(2, 3), 2), (Fraction(3, 2), 2)])
+def test_resonance_keeps_its_order_and_text(q, order):
+    # the roots 1 and q^order: s = 1 meets the other root at that order
+    r = q ** order
+    eq = QDiffEq.from_scalar_coefficients(rat(1), -rat(1 + r) + P("x"),
+                                          rat(r), "x")
+    index = char_exponents(eq.substitute({"q": rat(q)}), "Zero").roots.index(1)
+    with pytest.raises(Resonance, match="vanishes at order %d$" % order):
+        series_solution(eq, {"q": q}, index, 2 * order)
+    assert _agree(eq, {"q": q}, index, 2 * order, ()) == (
+        "Resonance", "recurrence denominator vanishes at order %d" % order)
+
+
+def test_depth_zero_and_the_origin():
+    b = _a4_binding(Fraction(2), Fraction(3))
+    eq = derive_equation("murata", "A4", b)
+    binding = {"q": b["q"]}
+    assert _agree(eq, binding, 0, 0, (0, Fraction(1, 3)))[0] == (1,)
+    _agree(eq, binding, 1, 12, (0, Fraction(0), Fraction(-2, 9)))
+    sol = series_solution(eq, binding, 0, 12)
+    # at x = 0 only c[0] counts: |s P(0) + Z(0) + M(0)/s| = 0
+    assert residual(eq, sol, 0) == 0
+
+
+@pytest.mark.parametrize("q", [Fraction(-2, 3), Fraction(-5, 2), -3])
+def test_negative_q_s_and_x(q):
+    # the roots -3/2 and 5/7
+    eq = _eq("14", "11 + x - 2*x^2", "-15 + 3*x")
+    for index in (0, 1):
+        sol = series_solution(eq, {"q": q}, index, 14)
+        assert sol.s == (Fraction(-3, 2), Fraction(5, 7))[index]
+        q_exact = Fraction(q)
+        _agree(eq, {"q": q_exact}, index, 14,
+               (Fraction(-3, 7), Fraction(-2), -1, Fraction(5, 11)))
+        assert sol.coefficients == series_solution(
+            eq, {"q": q_exact}, index, 14).coefficients
+        for x in (Fraction(-3, 7), -2):
+            assert residual(eq, sol, x) == _plain_residual(
+                sol.sides, q_exact, sol.s, sol.coefficients, x)
+
+
+def test_inexact_data_keeps_the_plain_loops():
+    eq = _eq("1 + x", "-3 + 2*x", "1 - x")
+    for binding in ({"q": Fraction(2, 3)}, {"q": 0.75}, {"q": 2},
+                    {"q": complex(0.5, 0.25)}):
+        for index in (0, 1):
+            sol = series_solution(eq, binding, index, 20)
+            assert isinstance(sol.s, float)
+            assert sol.coefficients == _plain_series(
+                sol.sides, binding["q"], sol.s, 20)
+            for x in (Fraction(1, 10), 0.2, -3):
+                assert residual(eq, sol, x) == _plain_residual(
+                    sol.sides, binding["q"], sol.s, sol.coefficients, x)
+    # an exact series at a float point: every term on the plain path
+    b = _a4_binding(Fraction(2), Fraction(3))
+    eq = derive_equation("murata", "A4", b)
+    sol = series_solution(eq, {"q": b["q"]}, 0, 10)
+    assert residual(eq, sol, 0.25) == _plain_residual(
+        sol.sides, b["q"], sol.s, sol.coefficients, 0.25)
+
+
+# the catalog rows whose origin quadratic admits a nonzero root
+_ORIGIN_ROWS = [("murata", f) for f in ("A4", "A5", "A5s", "A6", "A6s",
+                                        "A7p")] + [
+    ("kny", f) for f in ("D5", "A4w", "E3a", "E3b", "E2a")]
+_VALUE_POOL = tuple(Fraction(n, d) for n, d in (
+    (1, 1), (-1, 1), (2, 1), (-2, 1), (1, 2), (-1, 2), (3, 2), (-3, 2),
+    (2, 3), (-2, 3), (1, 3), (3, 1), (-3, 4), (5, 3)))
+_ROOT_POOL = tuple(Fraction(n, d) for n, d in (
+    (1, 1), (1, 2), (2, 1), (-3, 2), (2, 3), (-1, 3)))
+
+
+def _rational_root_binding(eq, q, rng):
+    """Every parameter bound, one of them solved linearly from the origin
+    quadratic so that a pool value of s is a root (so every root is
+    rational), and the number of roots."""
+    ch = char_exponents(eq, "Zero")
+    names = sorted({v for side in "PZM" for c in eq.side(side)
+                    for v in c.variables()} - {eq.variable, "q"})
+    for _ in range(500):
+        s = rng.choice(_ROOT_POOL)
+        binding = {n: rng.choice(_VALUE_POOL) for n in names}
+        binding["q"] = q
+        free = rng.choice(names)
+        phi = ch.c2 * s * s + ch.c1 * s + ch.c0
+        try:
+            phi = phi.substitute({n: rat(v) for n, v in binding.items()
+                                  if n != free})
+            if phi.num.degree_in(free) != 1:
+                continue
+            value = (-phi.num.coefficient(free, 0).evaluate({})
+                     / phi.num.coefficient(free, 1).evaluate({}))
+            binding[free] = value
+            roots = char_exponents(eq.substitute(
+                {n: rat(v) for n, v in binding.items()}), "Zero").roots
+        except (ZeroDivisionError, DegenerateEquation):
+            continue
+        if value and s in roots:
+            return binding, len(roots)
+    raise AssertionError("no drawn binding pins a rational root")
+
+
+@pytest.mark.parametrize("catalog, family", _ORIGIN_ROWS,
+                         ids=["%s-%s" % row for row in _ORIGIN_ROWS])
+def test_exact_path_equals_the_plain_loops_on_the_catalog(catalog, family):
+    rng = random.Random("exact-path:%s:%s" % (catalog, family))
+    eq = derive_equation(catalog, family)
+    for q in (Fraction(2, 3), Fraction(-3, 5), Fraction(7, 4)):
+        binding, count = _rational_root_binding(eq, q, rng)
+        for index in range(count):
+            N = rng.choice((0, 1, rng.randrange(2, 40), 80))
+            xs = (rng.choice((Fraction(1, 10), Fraction(-2, 7))),
+                  rng.choice((Fraction(0), Fraction(3, 2), -1)))
+            _agree(eq, binding, index, N, xs)

@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 
 from qheun import lax
-from qheun.cli import run, write_equation
+from qheun.cli import BIND_FORMAT, run, write_equation
 from qheun.climit import preset_names
 from qheun.lax import KNY_FAMILIES, MURATA_FAMILIES, derive_equation
 
@@ -213,6 +213,37 @@ def test_stdout_bytes(label):
     stdin = _stdout(feed) if feed else ""
     digest = hashlib.sha256(_stdout(argv, stdin).encode("utf-8")).hexdigest()
     assert digest == _PINS.get(label)
+
+
+# -- series ----------------------------------------------------------------
+#
+# ``series`` on the murata A4 row: one binding with the rational origin
+# exponents 1/2 and 3, expanded exactly, and one with the irrational
+# s = sqrt(2) - 1, where the coefficients and the residual are floats.
+
+_SERIES_PINS = {
+    "series --terms 60 --residual-at 1/10 < murata A4, s = 1/2": (
+        {"q": "1/3", "k1": "2", "a1": "5", "a2": "1/2", "a3": "1/3",
+         "t": "1/7", "th1": "-5/2", "th2": "-15", "k2": "-45/2", "m": "1"},
+        ["--terms", "60", "--residual-at", "1/10"],
+        "065ae2213ffe127b8763ffc465aa4653a03790d952b3c4c7fcb9482876313976"),
+    "series --root 1 --terms 40 --residual-at 1/10 < murata A4, "
+    "s = sqrt(2) - 1": (
+        {"q": "2/3", "k1": "2", "a1": "1", "a2": "1/2", "a3": "1",
+         "t": "1/7", "th1": "1", "th2": "1", "k2": "1", "m": "3/2"},
+        ["--root", "1", "--terms", "40", "--residual-at", "1/10"],
+        "b5efa2a544d39b208cc26e26c480f5881ca6147c6e8533fe8da663e4c086fd32"),
+}
+
+
+@pytest.mark.parametrize("label", sorted(_SERIES_PINS))
+def test_series_bytes(label, tmp_path):
+    bindings, flags, pin = _SERIES_PINS[label]
+    path = tmp_path / "bind.json"
+    path.write_text(json.dumps({"format": BIND_FORMAT, "bindings": bindings}))
+    text = _stdout(["series", "--bind", str(path)] + flags,
+                   _stdout(_derive("murata", "A4")))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == pin
 
 
 # -- bound derivations -----------------------------------------------------

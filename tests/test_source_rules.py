@@ -170,3 +170,21 @@ def test_no_dataclasses_import(path):
             and (node.module or "").split(".")[0] == "dataclasses"]
     assert not hits, "%s imports dataclasses on line(s) %s" % (path.name,
                                                                hits)
+
+
+# fractions.Fraction internals: Python 3.12 dropped the _normalize keyword,
+# and none of these is documented, so exact code builds a Fraction through
+# Fraction(numerator, denominator) and reads .numerator and .denominator
+_PRIVATE_FRACTION = {"_from_coprime_ints", "_numerator", "_denominator"}
+
+
+@pytest.mark.parametrize("path", _SOURCES, ids=lambda p: p.name)
+def test_no_private_fraction_api(path):
+    hits = [node.lineno for node in ast.walk(_tree(path))
+            if isinstance(node, ast.keyword) and node.arg == "_normalize"
+            or isinstance(node, ast.Attribute)
+            and node.attr in _PRIVATE_FRACTION
+            or isinstance(node, ast.alias)
+            and node.name in _PRIVATE_FRACTION]
+    assert not hits, "%s uses the private Fraction API on line(s) %s" % (
+        path.name, hits)
