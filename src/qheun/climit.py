@@ -486,10 +486,10 @@ _BRANCH_NOTE = ("the unit characteristic root at the origin is exact for "
                 "every eps and tracks the exponent-0 branch of the limit")
 
 _PRESETS = {
-    "heun": (_heun_preset, "HE", _BRANCH_NOTE),
-    "confluent": (_confluent_preset, "CHE", _BRANCH_NOTE),
-    "biconfluent": (_biconfluent_preset, "BHE", _BRANCH_NOTE),
-    "doubly-confluent": (_doubly_confluent_preset, "DHE", _BRANCH_NOTE),
+    "heun": (_heun_preset, "HE"),
+    "confluent": (_confluent_preset, "CHE"),
+    "biconfluent": (_biconfluent_preset, "BHE"),
+    "doubly-confluent": (_doubly_confluent_preset, "DHE"),
 }
 
 
@@ -516,5 +516,7 @@ def preset_target(name) -> str:
 
 
 def preset_note(name) -> str:
-    """How the preset's q-branch maps to the ODE branch."""
-    return _preset(name)[2]
+    """How the preset's q-branch maps to the ODE branch: the same for
+    every shipped preset."""
+    _preset(name)
+    return _BRANCH_NOTE

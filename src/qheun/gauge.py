@@ -121,28 +121,21 @@ def gauge_linear(eq: QDiffEq, p) -> QDiffEq:
     After clearing by p(x/q) the coefficients stay polynomial:
     P -> P*p(x)*p(x/q), Z -> Z*p(x/q), M -> M, with q the symbol.
     """
+    return _linear_move(eq, p, back=False)
+
+
+def _linear_move(eq, p, back):
+    """gauge_linear, or with ``back`` its inverse: the unknown is
+    multiplied by u, and P -> P, Z -> Z*p(x), M -> M*p(x)*p(x/q).
+    Composing the two reproduces the original equation times the overall
+    factor p(x)p(x/q)."""
     p_x = xpoly.as_xpoly(p, eq.variable)
     p_down = xpoly.shift_arg(p_x, as_ratfun(1) / sym("q"))
-    return QDiffEq(
-        xpoly.mul(xpoly.mul(eq.P, p_x), p_down),
-        xpoly.mul(eq.Z, p_down),
-        eq.M,
-        eq.variable)
-
-
-def _gauge_linear_back(eq: QDiffEq, p) -> QDiffEq:
-    """Inverse direction: multiply the unknown by u instead.
-
-    P -> P, Z -> Z*p(x), M -> M*p(x)*p(x/q); composing with gauge_linear
-    reproduces the original equation times the overall factor p(x)p(x/q).
-    """
-    p_x = xpoly.as_xpoly(p, eq.variable)
-    p_down = xpoly.shift_arg(p_x, as_ratfun(1) / sym("q"))
-    return QDiffEq(
-        eq.P,
-        xpoly.mul(eq.Z, p_x),
-        xpoly.mul(xpoly.mul(eq.M, p_x), p_down),
-        eq.variable)
+    grown = xpoly.mul(xpoly.mul(eq.M if back else eq.P, p_x), p_down)
+    Z = xpoly.mul(eq.Z, p_x if back else p_down)
+    if back:
+        return QDiffEq(eq.P, Z, grown, eq.variable)
+    return QDiffEq(grown, Z, eq.M, eq.variable)
 
 
 def invert_variable(eq: QDiffEq) -> QDiffEq:
@@ -217,10 +210,7 @@ def apply_record(rec: GaugeRecord, eq: QDiffEq) -> QDiffEq:
     if kind == "MoveFactor":
         return _move_factor(eq, *rec.payload, back=rec.inverted)
     if kind == "Linear":
-        (p,) = rec.payload
-        if rec.inverted:
-            return _gauge_linear_back(eq, p)
-        return gauge_linear(eq, p)
+        return _linear_move(eq, *rec.payload, back=rec.inverted)
     if kind == "InvertVariable":
         return invert_variable(eq)
     if kind == "Rebase":

@@ -47,8 +47,8 @@ comparison) run every call.
 """
 
 import functools
-from types import MappingProxyType
-from typing import Mapping, NamedTuple
+from collections import namedtuple
+from typing import NamedTuple
 
 from .symkernel import (MPoly, RatFun, as_ratfun, limit_at_zero, parse_expr,
                         rat, ratfun_eq, sym)
@@ -152,60 +152,37 @@ def _surface(family, binding):
     return {}
 
 
-class MurataParams:
-    """Parameter set for a matrix-pencil family, optionally bound.
+class MurataParams(namedtuple("_MurataParams", "family binding")):
+    """Parameter set for a matrix-pencil family, optionally bound, as an
+    immutable named-tuple record.
 
     ``binding`` maps names to exact values; q = 0 and w = 0 are refused.
     The A4 constraint in ``_CONSTRAINTS`` is checked once all of it is bound.
+    ``_replace`` and ``_make`` build a record without these checks.
     """
 
-    __slots__ = ("family", "binding")
+    __slots__ = ()
 
-    def __init__(self, family, binding=None):
+    def __new__(cls, family, binding=None):
         if family not in MURATA_FAMILIES:
             raise ValueError("unknown matrix-pencil family %r" % (family,))
-        self.family = family
-        self.binding = _checked_binding(
+        binding = _checked_binding(
             family, binding, _MURATA_SHARED + _MURATA_EXTRA[family])
-        if any(self.binding.get(name, 1) == 0 for name in ("q", "w")):
+        if any(binding.get(name, 1) == 0 for name in ("q", "w")):
             raise InvariantViolation("base q and scale w must be nonzero")
+        return super().__new__(cls, family, binding)
 
 
-def _reduce_record(record):
-    """Pickle and deepcopy support for LaxMatrix and KNYOperator: a
-    read-only binding travels as a dict and is wrapped again on load, and
-    an instance dict (the cached determinant) travels as state."""
-    *fields, binding = record
-    return (_load_record,
-            (type(record), tuple(fields), dict(binding),
-             isinstance(binding, MappingProxyType)),
-            getattr(record, "__dict__", None) or None)
-
-
-def _load_record(cls, fields, binding, read_only):
-    return cls(*fields, MappingProxyType(binding) if read_only else binding)
-
-
-class _LaxFields(NamedTuple):
-    family: str
-    a11: RatFun
-    a12: RatFun
-    a21: RatFun
-    a22: RatFun
-    binding: Mapping = MappingProxyType({})
-
-
-class LaxMatrix(_LaxFields):
+class LaxMatrix(namedtuple("_LaxMatrix", "family a11 a12 a21 a22 binding")):
     """A 2x2 matrix pencil A(x) with its family tag, as an immutable record.
 
-    ``binding`` repeats the parameter binding the entries were built
-    with, so that later shifts x -> qx can use the bound base; it is a
-    read-only empty mapping when none is given.  The determinant is
-    multiplied out once per record: ``scalar_reduce`` reuses the one
-    ``build_murata`` checked.
+    ``binding`` is the dict of the parameter binding the entries were
+    built with, so that later shifts x -> qx can use the bound base.  The
+    determinant is multiplied out once per record: ``scalar_reduce`` reuses
+    the one ``build_murata`` checked.  It is cached in the instance dict,
+    which pickles and copies with the record; ``__setattr__`` raises, so
+    no other attribute can be put there.
     """
-
-    __reduce__ = _reduce_record
 
     def __setattr__(self, name, value):
         raise AttributeError("LaxMatrix is immutable")
@@ -493,27 +470,29 @@ def specialize(family, variant, relation, binding=None):
     return eq
 
 
-class KNYParams:
-    """Parameter set for an operator-pencil family, optionally bound.
+class KNYParams(namedtuple("_KNYParams", "family binding")):
+    """Parameter set for an operator-pencil family, optionally bound, as
+    an immutable named-tuple record.
 
     When every symbol in it is bound, the balance constraint of
     ``_CONSTRAINTS`` is checked.  The KNY_GAUGED families refuse k1 = 0,
-    which removes their only up-shift term.
+    which removes their only up-shift term.  ``_replace`` and ``_make``
+    build a record without these checks.
     """
 
-    __slots__ = ("family", "binding")
+    __slots__ = ()
 
     _NAMES = ("q", "g", "d", "k1", "k2",
               "n1", "n2", "n3", "n4", "n5", "n6", "n7", "n8")
 
-    def __init__(self, family, binding=None):
+    def __new__(cls, family, binding=None):
         if family not in KNY_FAMILIES:
             raise ValueError("unknown operator-pencil family %r" % (family,))
-        self.family = family
-        self.binding = _checked_binding(family, binding, self._NAMES)
-        if family in KNY_GAUGED and self.binding.get("k1", 1) == 0:
+        binding = _checked_binding(family, binding, cls._NAMES)
+        if family in KNY_GAUGED and binding.get("k1", 1) == 0:
             raise InvariantViolation("k1 must not vanish in %s: it scales "
                                      "the only up-shift term" % family)
+        return super().__new__(cls, family, binding)
 
 
 class KNYOperator(NamedTuple):
@@ -523,9 +502,7 @@ class KNYOperator(NamedTuple):
     c_plus: RatFun
     c_zero: RatFun
     c_minus: RatFun
-    binding: Mapping = MappingProxyType({})
-
-    __reduce__ = _reduce_record
+    binding: dict
 
 
 # Each pencil is a sum of terms: a rational coefficient times one of

@@ -10,7 +10,8 @@ is reported as resonance rather than patched with logarithms.
 Exact data stays exact, an int q included.  The recurrence multipliers
 and the residual's terms are then built from integer parts: one
 Fraction normalisation per multiplier, and one per residual.  Float or
-complex data take plain arithmetic.
+complex data take plain arithmetic.  q = 0 is no shift base and is
+refused.
 """
 
 import math
@@ -174,7 +175,7 @@ def _exact(*values):
 
 def _integer_parts(up, mid, low, q, top, x=1):
     """[(num_n, den_n) for n = 0..top], num_n/den_n = x^n (up q^n + mid +
-    low q^-n), for exact data and q != 0, unreduced.
+    low q^-n), for exact data, unreduced.
 
     With q = a/b, x = c/d and up, mid, low = (U, Z, L)/D over one
     integer denominator, num_n = c^n (U a^2n + Z a^n b^n + L b^2n) and
@@ -192,6 +193,13 @@ def _integer_parts(up, mid, low, q, top, x=1):
     return out
 
 
+def _shift_base(q):
+    """q itself; ValueError at q = 0, where f(x/q) has no value."""
+    if not q:
+        raise ValueError("q = 0 is no shift base: f(x/q) has no value")
+    return q
+
+
 def series_solution(eq: QDiffEq, binding, rootIndex=0, N=10):
     """Series coefficients c[0..N] at the origin for one exponent choice.
 
@@ -199,23 +207,22 @@ def series_solution(eq: QDiffEq, binding, rootIndex=0, N=10):
     and for q.  The exponent value s is the rootIndex-th nonzero root
     (sorted) of the characteristic quadratic.  c[0] = 1 and each c[m]
     solves the order-m collected equation; a vanishing denominator
-    raises Resonance.  A negative N raises ValueError.
+    raises Resonance.  A negative N, and q = 0, raise ValueError.
 
-    Exact data (q a nonzero int or Fraction, s and every side value
-    exact) gives Fraction coefficients; an int q counts as the Fraction
-    it equals.  With q = a/b, the multiplier P_k s q^n + Z_k + M_k q^-n/s
+    Exact data (q an int or Fraction, s and every side value exact) gives
+    Fraction coefficients; an int q counts as the Fraction it equals.
+    With q = a/b, the multiplier P_k s q^n + Z_k + M_k q^-n/s
     of c[n] from degree k is (P_k s a^2n + Z_k a^n b^n + M_k/s b^2n) /
     (a^n b^n): the three constants of each degree go over one integer
     denominator once, and each multiplier is one Fraction of two ints.
-    Float or complex data, and q = 0 (a^n b^n = 0; a nonzero M then
-    divides by zero), take the same recurrence in plain arithmetic.
+    Float or complex data take the same recurrence in plain arithmetic.
     """
     if N < 0:
         raise ValueError("N must be nonnegative, not %d" % N)
     binding = dict(binding or {})
     if "q" not in binding:
         raise UnboundParameter("the recurrence needs a numeric q")
-    q = binding["q"]
+    q = _shift_base(binding["q"])
     sides = _side_values(eq, binding)
     pv, zv, mv = sides["P"], sides["Z"], sides["M"]
     roots = _nonzero(quad_roots(pv[0], zv[0], mv[0]))
@@ -224,7 +231,7 @@ def series_solution(eq: QDiffEq, binding, rootIndex=0, N=10):
                          % (rootIndex, len(roots)))
     s = roots[rootIndex]
 
-    if q and _exact(q, s, *pv, *zv, *mv):
+    if _exact(q, s, *pv, *zv, *mv):
         parts = [_integer_parts(p * s, z, m / s, q, N)
                  for p, z, m in zip(pv, zv, mv)]
 
@@ -257,23 +264,22 @@ def residual(eq: QDiffEq, sol: SeriesSolution, x):
     """|P(x) s f(qx) + Z(x) f(x) + M(x) f(x/q)/s| on the truncated series.
 
     The common factor x^r is dropped, leaving sum_n c[n] x^n (s P(x) q^n
-    + Z(x) + M(x) q^-n/s) with ``eq`` bound at ``sol.binding``.  When q
-    (nonzero), s, x and the side values are exact, write q = a/b, x = c/d
-    and s P(x), Z(x), M(x)/s = (U, Z, L)/D over one integer denominator:
-    an exact c[n] then adds the integer pair c[n].numerator c^n (U a^2n +
-    Z a^n b^n + L b^2n) over c[n].denominator D d^n a^n b^n.  Any other
-    exact term is built in plain arithmetic.  Exact terms fold unreduced
-    into one running numerator and denominator, normalised once, at the
-    end; float and complex terms go into a plain running sum.  At q = 0
-    a term past c[0] divides by zero: f(x/q) has no value there.
+    + Z(x) + M(x) q^-n/s) with ``eq`` bound at ``sol.binding``.  When q,
+    s, x and the side values are exact, write q = a/b, x = c/d and
+    s P(x), Z(x), M(x)/s = (U, Z, L)/D over one integer denominator: an
+    exact c[n] then adds the integer pair c[n].numerator c^n (U a^2n +
+    Z a^n b^n + L b^2n) over c[n].denominator D d^n a^n b^n.  These pairs
+    fold unreduced into one running numerator and denominator, normalised
+    once, at the end.  Every other term is a float or complex one and goes
+    into a plain running sum.  q = 0 raises ValueError, as in
+    ``series_solution``.
     """
+    q, s = _shift_base(sol.q), sol.s
     sides = _side_values(eq, sol.binding)
-    q, s = sol.q, sol.s
     up, mid, low = (sum(v * x ** k for k, v in enumerate(sides[name]))
                     for name in "PZM")
     up, low = up * s, low / s
-    exact = bool(q) and _exact(q, s, x, *sides["P"], *sides["Z"],
-                               *sides["M"])
+    exact = _exact(q, s, x, *sides["P"], *sides["Z"], *sides["M"])
     if exact:
         parts = _integer_parts(up, mid, low, q, len(sol.coefficients) - 1, x)
     num, den, inexact = 0, 1, 0
@@ -281,14 +287,10 @@ def residual(eq: QDiffEq, sol: SeriesSolution, x):
         if exact and isinstance(coef, (int, Fraction)):
             tnum = coef.numerator * parts[n][0]
             tden = coef.denominator * parts[n][1]
+            # the denominators nest along the series, so this gcd is cheap
+            g = math.gcd(den, tden)
+            num = num * (tden // g) + tnum * (den // g)
+            den = den // g * tden
         else:
-            term = coef * (x ** n * (up * q ** n + mid + low * q ** (-n)))
-            if not isinstance(term, (int, Fraction)):
-                inexact += term
-                continue
-            tnum, tden = term.numerator, term.denominator
-        # the denominators nest along the series, so this gcd is cheap
-        g = math.gcd(den, tden)
-        num = num * (tden // g) + tnum * (den // g)
-        den = den // g * tden
+            inexact += coef * (x ** n * (up * q ** n + mid + low * q ** (-n)))
     return abs(Fraction(num, den) + inexact)

@@ -472,6 +472,17 @@ def test_series_needs_complete_binding(tmp_path):
     assert code == 3 and "parameter" in err
 
 
+def test_series_refuses_q_zero(tmp_path):
+    path = tmp_path / "q0.json"
+    path.write_text(json.dumps({"format": BIND_FORMAT, "bindings": {
+        **_A4_ROOT_BINDING["bindings"], "q": "0"}}))
+    code, out, err = call(["series", "--bind", str(path), "--terms", "4",
+                           "--residual-at", "1/20"],
+                          stdin=derive_doc("murata", "A4"))
+    assert code == 3 and out == ""
+    assert "q = 0" in err and "Traceback" not in err
+
+
 def test_series_flag_validation(a4_binding_file):
     doc = derive_doc("murata", "A4")
     assert call(["series", "--bind", a4_binding_file, "--terms", "-2"],

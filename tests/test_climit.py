@@ -80,8 +80,9 @@ def test_preset_names_are_stable():
 
 
 def test_unknown_preset():
-    with pytest.raises(ValueError, match="unknown preset"):
-        preset_family("nope")
+    for lookup in (preset_family, preset_target, preset_note):
+        with pytest.raises(ValueError, match="unknown preset"):
+            lookup("nope")
 
 
 @pytest.mark.parametrize("name", sorted(_PRESET_B))

@@ -187,6 +187,17 @@ def test_linear_accepts_ratfun_argument():
         gauge_linear(e, [rat(0)])
 
 
+def test_inverse_linear_coefficient_action():
+    e = make_eq("1", "-b0", "c")
+    out = apply_record(invert_record(record_linear(P("x - t"))), e)
+    # the mirror of gauge_linear: P unchanged, Z gains (x-t), M gains
+    # (x-t)(x/q-t)
+    assert list(out.P) == [rat(1)]
+    assert ratfun_eq(out.scalar_coefficient("Z"), P("-b0*(x - t)"))
+    assert ratfun_eq(out.scalar_coefficient("M"),
+                     P("c*(x - t)*(x/q - t)"))
+
+
 def test_linear_roundtrip_proportional():
     rec = record_linear(P("x - t"))
     out = apply_record(invert_record(rec), apply_record(rec, SAMPLE))

@@ -565,9 +565,15 @@ def test_pencils_are_immutable_records():
     assert ratfun_eq(mat.det(), a11 * a22 - a12 * a21)
     op = build_kny(KNYParams("E3b"))
     assert op == ("E3b", op.c_plus, op.c_zero, op.c_minus, {})
-    for record, field in ((mat, "a11"), (op, "binding")):
+    params = (MurataParams("A5", {"q": 2}), KNYParams("E3b", {"q": 3}))
+    for record, field in ((mat, "a11"), (op, "binding"),
+                          (params[0], "binding"), (params[1], "family")):
         with pytest.raises(AttributeError):
             setattr(record, field, None)
+    # no instance dict to put a new attribute in
+    for record in params:
+        with pytest.raises(AttributeError):
+            record.extra = None
 
 
 @pytest.mark.parametrize("binding", [None, {"q": 2, "k1": Fraction(3, 5)}])
@@ -724,10 +730,12 @@ def test_records_survive_pickle_and_deepcopy():
     # the cached determinant sits in the instance dict, pickled with it
     mat.det()
     sol = series_solution(eq, binding, rootIndex=0, N=6)
-    # records built with the default binding carry a read-only mapping
-    bare = [lax.KNYOperator("D5", rat(1), rat(1), rat(1)),
-            lax.LaxMatrix("A5", rat(1), rat(2), rat(3), rat(4))]
+    # records built by hand, with an empty binding
+    bare = [lax.KNYOperator("D5", rat(1), rat(1), rat(1), {}),
+            lax.LaxMatrix("A5", rat(1), rat(2), rat(3), rat(4), {})]
     bare[1].det()
+    # the parameter sets pickle as their fields, and load through __new__
+    pars = [MurataParams("A5", {"q": 2}), KNYParams("E3b", {"q": 3})]
     # the limit records of a preset, and one record of each parameter class
     fam = climit.preset_family("heun")
     limits = climit.limit_coefficients(fam)
@@ -738,15 +746,11 @@ def test_records_survive_pickle_and_deepcopy():
     assert [type(p) for p in params] == list(odeheun.PARAM_CLASSES.values())
     records = [eq.Z[0].num, eq.Z[0], eq, mat, scalar_reduce(mat),
                build_kny(KNYParams("E3b", {"q": 3})), sol,
-               fam, limits, ode] + params + bare
+               fam, limits, ode] + params + bare + pars
     for record in records:
         for twin in (pickle.loads(pickle.dumps(record)),
                      copy.deepcopy(record)):
             assert type(twin) is type(record)
-            if any(record is b for b in bare):
-                assert type(twin.binding) is type(record.binding)
-                with pytest.raises(TypeError):
-                    twin.binding["q"] = rat(2)
             assert str(twin) == str(record)
             if isinstance(record, QDiffEq):
                 assert equations_equal(twin, record)
@@ -757,11 +761,24 @@ def test_records_survive_pickle_and_deepcopy():
                 assert twin == record
 
 
+def test_a_pickled_parameter_set_is_checked_again_on_load():
+    # th1*th2 + k1*k2*a1*a2*a3 = 6 - 6: on the A4 constraint surface
+    params = MurataParams("A4", {"th1": 2, "th2": 3, "k1": 1, "k2": -1,
+                                 "a1": 1, "a2": 2, "a3": 3})
+    twin = pickle.loads(pickle.dumps(params))
+    assert twin == params and twin.binding["a3"] == 3
+    # _replace skips the checks, and loading runs them: a3 = 4 leaves it
+    off = params._replace(binding={**params.binding, "a3": rat(4)})
+    with pytest.raises(InvariantViolation, match="A4 binding breaks"):
+        pickle.loads(pickle.dumps(off))
+    with pytest.raises(InvariantViolation, match="k1 must not vanish"):
+        copy.deepcopy(KNYParams("E3a")._replace(binding={"k1": rat(0)}))
+
+
 def test_a_denominator_left_in_z_raises():
     # z - 1 is no named factor: kny_to_equation clears only z - n4
     z = sym("z")
-    op = lax.KNYOperator("D5", 1 / (z - 1), rat(1), rat(1))
-    assert op.binding == {}
+    op = lax.KNYOperator("D5", 1 / (z - 1), rat(1), rat(1), {})
     with pytest.raises(InvariantViolation, match="denominator in z is left"):
         kny_to_equation(op)
 

@@ -455,7 +455,7 @@ def test_records_unpack_and_are_immutable():
 #
 # series_solution and residual build exact data from integer parts; these
 # are the plain loops they replaced, which every type of data still takes
-# when q, s, x or a side value is inexact (and at q = 0).
+# when q, s, x or a side value is inexact.
 
 def _plain_series(sides, q, s, N):
     pv, zv, mv = sides["P"], sides["Z"], sides["M"]
@@ -535,21 +535,18 @@ def test_an_int_q_stays_exact():
     assert residual(eq, sol, 2) == residual(eq, exact, 2)
 
 
-def test_q_zero_takes_the_plain_loop():
-    # with M = 0 nothing divides by q, and the series expands at q = 0;
-    # a^n b^n = 0 there, so q = 0 stays on the plain recurrence
+def test_q_zero_is_refused():
+    # f(x/q) has no value at q = 0, as lax refuses q = 0 as no shift base;
+    # with M = 0 the series used to expand there, and otherwise the first
+    # order or the residual past c[0] divided by zero without naming q
+    for eq in (_eq("-1", "1 - x", "0"), _eq("1", "-3 + x", "2")):
+        for q in (0, Fraction(0), 0.0):
+            with pytest.raises(ValueError, match="q = 0"):
+                series_solution(eq, {"q": q}, 0, 3)
     eq = _eq("-1", "1 - x", "0")
-    for q in (0, Fraction(0)):
-        # -f(0) + (1 - x) f(x) = 0: f = 1/(1 - x)
-        assert _agree(eq, {"q": q}, 0, 6, ())[0] == (1,) * 7
-        # M(x) f(x/q) has no value at q = 0: past c[0] that divides by 0
-        sol = series_solution(eq, {"q": q}, 0, 6)
-        with pytest.raises(ZeroDivisionError):
-            residual(eq, sol, Fraction(1, 2))
-        assert residual(eq, series_solution(eq, {"q": q}, 0, 0), 2) == 2
-    # an M that is not 0 divides by q^n at the first order, as it did
-    with pytest.raises(ZeroDivisionError):
-        series_solution(_eq("1", "-3 + x", "2"), {"q": Fraction(0)}, 0, 3)
+    sol = series_solution(eq, {"q": Fraction(1, 2)}, 0, 3)
+    with pytest.raises(ValueError, match="q = 0"):
+        residual(eq, sol._replace(q=Fraction(0)), Fraction(1, 2))
 
 
 @pytest.mark.parametrize("q, order", [

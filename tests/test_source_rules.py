@@ -76,6 +76,55 @@ def test_only_the_kernel_types_bypass_setattr(path):
         "%s calls object.__setattr__ on line(s) %s" % (path.name, hits))
 
 
+_PICKLE_HOOKS = {"__reduce__", "__reduce_ex__", "MappingProxyType", "copyreg"}
+
+
+def _pickle_hooks(tree):
+    """(line, name) of each pickling hook or hook helper in a module, and
+    the classes each one sits in."""
+    hits = []
+
+    def visit(node, classes):
+        if isinstance(node, ast.ClassDef):
+            classes = classes + (node.name,)
+        name = (node.name if isinstance(node, (ast.FunctionDef, ast.alias))
+                else node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute)
+                else None)
+        if name is not None and name.split(".")[0] in _PICKLE_HOOKS:
+            hits.append((getattr(node, "lineno", None), name, classes))
+        for child in ast.iter_child_nodes(node):
+            visit(child, classes)
+
+    visit(tree, ())
+    return hits
+
+
+@pytest.mark.parametrize("path", _SOURCES, ids=lambda p: p.name)
+def test_records_pickle_without_hooks(path):
+    # value records are named tuples, which pickle and copy by their
+    # fields and run their checks again on load; only the kernel types,
+    # whose slots are filled through object.__setattr__, rebuild through
+    # their constructors by a __reduce__ of their own
+    hits = [(line, name) for line, name, classes in _pickle_hooks(_tree(path))
+            if not (path.name == "symkernel.py" and name == "__reduce__"
+                    and classes in (("MPoly",), ("RatFun",)))]
+    assert not hits, "%s hooks pickling at %s" % (path.name, hits)
+
+
+def test_the_hook_rule_sees_each_form():
+    tree = ast.parse("import copyreg\n"
+                     "from types import MappingProxyType\n"
+                     "class R(tuple):\n"
+                     "    def __reduce__(self):\n"
+                     "        return R, ()\n"
+                     "class S(tuple):\n"
+                     "    __reduce__ = _helper\n")
+    assert [(line, name) for line, name, _ in _pickle_hooks(tree)] == [
+        (1, "copyreg"), (2, "MappingProxyType"), (4, "__reduce__"),
+        (7, "__reduce__")]
+
+
 def _int_literal(node):
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
         node = node.operand
