@@ -65,6 +65,13 @@ def _fail(condition, message):
         raise UsageError(message)
 
 
+def _check_header(doc, kind, fmt):
+    """Refuse a document that is not a JSON object of the format ``fmt``."""
+    _fail(isinstance(doc, dict), "%s document must be a JSON object" % kind)
+    _fail(doc.get("format") == fmt,
+          "unknown document format %r" % (doc.get("format"),))
+
+
 def _identifiers(text):
     return set(re.findall(r"[A-Za-z][A-Za-z0-9_]*", text))
 
@@ -92,9 +99,7 @@ def write_equation(eq) -> dict:
 
 def read_equation(doc) -> qdiff.QDiffEq:
     """Parse and validate an EquationDocument back into an equation."""
-    _fail(isinstance(doc, dict), "equation document must be a JSON object")
-    _fail(doc.get("format") == EQ_FORMAT,
-          "unknown document format %r" % (doc.get("format"),))
+    _check_header(doc, "equation", EQ_FORMAT)
     variable = doc.get("variable")
     _fail(isinstance(variable, str) and _IDENT.match(variable),
           "variable must be an identifier")
@@ -134,9 +139,7 @@ def read_equation(doc) -> qdiff.QDiffEq:
 
 def read_binding(doc) -> dict:
     """BindingDocument to a name -> Fraction map."""
-    _fail(isinstance(doc, dict), "binding document must be a JSON object")
-    _fail(doc.get("format") == BIND_FORMAT,
-          "unknown document format %r" % (doc.get("format"),))
+    _check_header(doc, "binding", BIND_FORMAT)
     raw = doc.get("bindings")
     _fail(isinstance(raw, dict), "bindings must be an object")
     out = {}
@@ -320,9 +323,7 @@ def _cmd_series(args):
 def _read_family_file(path):
     from . import climit
     doc = _load_json(path)
-    _fail(isinstance(doc, dict), "family document must be a JSON object")
-    _fail(doc.get("format") == FAMILY_FORMAT,
-          "unknown document format %r" % (doc.get("format"),))
+    _check_header(doc, "family", FAMILY_FORMAT)
     _fail(doc.get("parameter", "eps") == "eps",
           "the expansion parameter must be named eps")
     rows = {}
@@ -358,7 +359,6 @@ def _cmd_limit(args):
         fam = _read_family_file(args.family_file)
     ode = climit.classify_ode(climit.emit_ode(climit.limit_coefficients(
         fam)))
-    b = ode.limits
     reading = odeheun.match_class(ode)
     if isinstance(reading, odeheun.NoMatch):
         display = {"obstruction": reading.obstruction}
@@ -372,7 +372,7 @@ def _cmd_limit(args):
            "zeroth": [_exact(v) for v in ode.zeroth],
            "singularities": [_exact(s) for s in ode.singularities],
            "limits": {name: _exact(value)
-                      for name, value in b.as_dict().items()},
+                      for name, value in ode.limits.as_dict().items()},
            "display": display}
     _emit_json(doc, args.emit)
     if args.crosscheck is not None:

@@ -202,11 +202,11 @@ class HeunODE(namedtuple("_HeunODE", "second first zeroth class_ rho "
     second, first and zeroth hold the coefficient tuples of S, F and Q
     by ascending degree (quadratic rows for everything the q -> 1 limit
     emits; the triconfluent shape needs cubic entries), with integer
-    entries stored as Fractions and trailing zeros dropped.  class_ is None
-    until classify_ode fills it; rho records the power-law prefactor
-    x^rho split off to clear the constant slot of the zeroth row.
-    ``_replace`` and ``_make`` build a record without the trim and the
-    all-zero check.
+    entries stored as Fractions and trailing zeros dropped.  class_, rho
+    and limits are None until classify_ode fills them: rho is the power
+    x^rho split off to clear the constant slot of the zeroth row, limits
+    the limit data read off the rows.  ``_replace`` and ``_make`` build a
+    record without the trim and the all-zero check.
     """
 
     __slots__ = ()
@@ -250,14 +250,13 @@ def _trim(row):
 
 
 def emit_ode(b: LimitData) -> HeunODE:
-    """Assemble the limiting differential operator from limit data."""
+    """Assemble the limiting operator's rows, unclassified, from limit data."""
     if all(v == 0 for v in b):
         raise AllZero("all nine limit coefficients vanish")
     return HeunODE(
         (b.b0, b.b1, b.b2),
         (b.b01 + b.b0, b.b11 + b.b1, b.b21 + b.b2),
-        (b.b00, b.b10, b.b20),
-        limits=b)
+        (b.b00, b.b10, b.b20))
 
 
 def _gauge_data(b, rho):
@@ -276,27 +275,24 @@ def classify_ode(ode: HeunODE) -> HeunODE:
 
     When the constant slot of the zeroth row is nonzero the operator is
     first normalized by g -> x^rho * g with rho a root of the exponent
-    equation at the origin; the chosen rho is recorded.  Raises
-    Unclassifiable (with a diagnostic) when no catalogued pattern fits.
+    equation at the origin; the chosen rho is recorded, and so is the
+    limit data read off the rows, in ``limits``.  Raises Unclassifiable
+    (with a diagnostic) when no catalogued pattern fits.
     """
     if any(len(getattr(ode, r)) > 3 for r in ("second", "first", "zeroth")):
         return _classify_cubic(ode)
-    b = ode.limits
-    if b is None:
-        s2, f1, q0 = ode.padded(3)
-        b = LimitData(s2[2], s2[1], s2[0],
-                      f1[2] - s2[2], f1[1] - s2[1], f1[0] - s2[0],
-                      q0[2], q0[1], q0[0])
+    s2, f1, q0 = ode.padded(3)
+    b = LimitData(s2[2], s2[1], s2[0],
+                  f1[2] - s2[2], f1[1] - s2[1], f1[0] - s2[0],
+                  q0[2], q0[1], q0[0])
     rho = 0
     if b.b00 != 0:
-        if b.b0 != 0:
-            rho = quad_roots(b.b0, b.b01, b.b00)[0]
-        elif b.b01 != 0:
-            rho = -b.b00 / b.b01
-        else:
+        roots = quad_roots(b.b0, b.b01, b.b00)
+        if not roots:
             raise Unclassifiable(
                 "constant slot of the zeroth row is nonzero but the origin "
                 "exponent equation is degenerate (b0 = b01 = 0)")
+        rho = roots[0]
         b = _gauge_data(b, rho)
         # a float root leaves rounding residue, 0.0 or not, and the slot
         # is then the exact 0; anything larger means it was not a root
@@ -331,9 +327,8 @@ def classify_ode(ode: HeunODE) -> HeunODE:
     else:
         raise Unclassifiable(
             "the whole second-derivative row vanishes in the limit")
-    out = emit_ode(b)
-    return HeunODE(out.second, out.first, out.zeroth, class_=label,
-                   rho=rho, limits=b, singularities=sing)
+    return emit_ode(b)._replace(class_=label, rho=rho, limits=b,
+                                singularities=sing)
 
 
 def _classify_cubic(ode):
@@ -342,9 +337,8 @@ def _classify_cubic(ode):
            and f[3] != 0 and f[0] == f[2] == 0
            and q[0] == q[1] == 0)
     label = "THE" if the else "Other"
-    return HeunODE(ode.second, ode.first, ode.zeroth, class_=label,
-                   rho=0, limits=None,
-                   singularities=("Infinity",) if the else None)
+    return ode._replace(class_=label, rho=0, limits=None,
+                        singularities=("Infinity",) if the else None)
 
 
 def ode_series(ode: HeunODE, N=10):

@@ -799,10 +799,13 @@ def derive_equation(catalog, family, binding=None, variant=None, gauge=None):
 
 
 @functools.cache
-def _recipe_value(family):
-    """(name, value) of what the recorded recipe sets l or m to, at l = 0
-    when the recipe sends l -> 0; the value is None when it is 0 for
+def _pencil_divisor(catalog, family):
+    """(name, value) of a pencil divisor a binding may not send to 0: the
+    frozen f = n4 for kny; for murata what the recorded recipe sets l or m
+    to, at l = 0 when the recipe sends l -> 0, or None when that is 0 for
     every binding (A7 sends m to 0 with l by design)."""
+    if catalog == "kny":
+        return "f", _kn("n4")
     recipe = _MURATA_RECIPES[family, MURATA_TABLE_VARIANT[family]]
     name, text = recipe["set"]
     value = _mu(text)
@@ -849,30 +852,24 @@ def verify_family(catalog, family, binding=None):
     SubstitutionSingular when the binding zeroes a denominator of the
     constraint, the row or its closed form.  That includes a binding that
     makes the surface entry 0 where a denominator holds it: kny D5 with
-    k1 = 0 puts n8 = 0, and the D5 pencil divides by n8.  So is a kny
-    binding that, with the surface entry, puts n4 = 0: every kny pencil
-    divides by f, which the derivation freezes at n4.  So is a murata
-    binding that sends the recorded recipe's value of l or m to 0 (at
-    l = 0 for a recipe that takes that limit), which binding l or m to 0
-    directly would refuse: A5 and A6 at t = 0 (l = a1*t) and A7p at
-    th1*t = 0 (m -> th1*t/(q*k1*k2)), where the derived equation is not
-    the limit of the ones around it.
+    k1 = 0 puts n8 = 0, and the D5 pencil divides by n8.  So is one that,
+    with the surface entry, sends the divisor of ``_pencil_divisor`` to 0:
+    for kny f = n4, which every kny pencil divides by; for murata the
+    recorded recipe's value of l or m, which binding l or m to 0 directly
+    would refuse: A5 and A6 at t = 0 (l = a1*t) and A7p at th1*t = 0
+    (m -> th1*t/(q*k1*k2)), where the derived equation is not the limit
+    of the ones around it.
     """
     binding = {name: as_ratfun(value)
                for name, value in (binding or {}).items()}
     surface = _surface(family, binding)
     at = {**binding, **surface}
     derived = derive_equation(catalog, family, at)
-    name, value = (_recipe_value(family) if catalog == "murata"
-                   else (None, None))
+    name, value = _pencil_divisor(catalog, family)
     if value is not None and value.substitute(at).is_zero:
         raise SubstitutionSingular("%s binding sends %s = %s to 0, where the "
                                    "pencil divides by %s"
                                    % (family, name, value, name))
-    if catalog == "kny" and "n4" in at and at["n4"].is_zero:
-        raise SubstitutionSingular("%s binding puts n4 = 0, where the frozen "
-                                   "f of the pencil's 1/f term vanishes"
-                                   % family)
     reference = reference_equation(catalog, family)
     row = _surface_row(catalog, family, next(iter(surface), None))
     top = max(reference.degree, derived.degree)

@@ -54,15 +54,33 @@ class CharData(NamedTuple):
     regularity: str
 
 
-def exact_sqrt(f):
-    """The rational square root of ``f``, or None if it has none."""
+def exact_root(f, k=2):
+    """The rational k-th root of ``f``, or None if it has none.
+
+    An odd k keeps the sign of ``f``; an even k refuses a negative ``f``.
+    """
     f = Fraction(f)
-    if f < 0:
+    if f < 0 and k % 2 == 0:
         return None
-    rn, rd = math.isqrt(f.numerator), math.isqrt(f.denominator)
-    if rn * rn == f.numerator and rd * rd == f.denominator:
-        return Fraction(rn, rd)
-    return None
+    num, den = (_int_root(n, k) for n in (abs(f.numerator), f.denominator))
+    if Fraction(num, den) ** k != abs(f):
+        return None
+    return Fraction(num if f >= 0 else -num, den)
+
+
+def _int_root(n, k):
+    # floor(n^(1/k)) for an int n >= 0, one bit at a time from the top
+    if k == 2:
+        return math.isqrt(n)
+    root = 0
+    for bit in range(n.bit_length() // k, -1, -1):
+        if (root | 1 << bit) ** k <= n:
+            root |= 1 << bit
+    return root
+
+
+# the least magnitude that a float conversion rounds past the float range
+_FLOAT_LIMIT = 2 ** 1024 - 2 ** 970
 
 
 def quad_roots(a, b, c):
@@ -71,17 +89,30 @@ def quad_roots(a, b, c):
     Rational data with a rational square discriminant gives exact
     Fraction roots.  Otherwise the square root is taken in complex
     floats, and a root whose imaginary part is rounding noise is
-    returned as a real float.  When a = 0 the single root of the linear
-    equation is returned, and no root when b = 0 as well.
+    returned as a real float; a rational discriminant beyond the float
+    range takes an integer square root, and only a root beyond it raises
+    OverflowError.  When a = 0 the single root of the linear equation is
+    returned, and no root when b = 0 as well.
     """
     # ints divide as Fractions, so integer data keeps exact roots
     a, b, c = (Fraction(v) if isinstance(v, int) else v for v in (a, b, c))
     if not a:
         return (-c / b,) if b else ()
     disc = b * b - 4 * a * c
-    root = exact_sqrt(disc) if isinstance(disc, Fraction) else None
+    root = exact_root(disc) if isinstance(disc, Fraction) else None
     if root is not None:
         pair = ((-b - root) / (2 * a), (-b + root) / (2 * a))
+    elif isinstance(disc, Fraction) and abs(disc) >= _FLOAT_LIMIT:
+        # no float for disc, but the roots may fit: its integer root is good
+        # to 10^-154 here, far past double precision
+        n, d = abs(disc.numerator), disc.denominator
+        root = Fraction(_int_root(n * d, 2), d)
+        if disc < 0:
+            re, im = float(-b / (2 * a)), float(root / abs(2 * a))
+            pair = (complex(re, -im), complex(re, im))
+        else:
+            big = -(b + root if b >= 0 else b - root) / 2
+            pair = (float(big / a), float(c / big))
     else:
         if not isinstance(disc, complex) and disc < 0:
             # real data, complex roots: an exact conjugate pair, so the

@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .climit import AllZero, HeunODE, Unclassifiable, classify_ode
-from .local import exact_sqrt, quad_roots
+from .local import exact_root, quad_roots
 
 __all__ = ["ConstraintViolation", "NoMatch", "HeunParams", "HEParams",
            "CHEParams", "BHEParams", "DHEParams", "THEParams",
@@ -215,8 +215,7 @@ def to_operator(p: HeunParams) -> HeunODE:
     if not isinstance(p, HeunParams) or p.CLASS is None:
         raise TypeError("expected a parameter record, got %r" % (p,))
     p._validate()
-    a, B = p.alpha, p.accessory
-    g = p.gamma
+    a, g, B = p.alpha, p.gamma, p.accessory
     if p.CLASS == "HE":
         b, d, e, t = p.beta, p.delta, p.ehat, p.t
         rows = ([t, -(1 + t), 1],
@@ -228,50 +227,23 @@ def to_operator(p: HeunParams) -> HeunODE:
                 [-g, g + d + b, -b],
                 [0, B, -a * b])
     elif p.CLASS == "BHE":
-        d = p.delta
-        rows = ([1, 0, 0],
-                [g, -d, -1],
-                [0, B, -a])
+        rows = ([1, 0, 0], [g, -p.delta, -1], [0, B, -a])
     elif p.CLASS == "DHE":
-        d = p.delta
-        rows = ([0, 1, 0],
-                [-d, -g, -1],
-                [0, B, -a])
+        rows = ([0, 1, 0], [-p.delta, -g, -1], [0, B, -a])
     else:
-        rows = ([1, 0, 0, 0],
-                [0, -g, 0, -1],
-                [0, 0, B, a])
+        rows = ([1, 0, 0, 0], [0, -g, 0, -1], [0, 0, B, a])
     return classify_ode(HeunODE(*rows))
 
 
 # -- recovery --------------------------------------------------------------
 
-def _sqrt_any(v):
-    if isinstance(v, Fraction):
-        r = exact_sqrt(v)
-        if r is not None:
-            return r
-    return math.sqrt(v)
-
-
-def _cbrt_any(v):
-    """Real cube root, exact on perfect rational cubes."""
-    if isinstance(v, Fraction):
-        sign = -1 if v < 0 else 1
-        num, den = abs(v.numerator), v.denominator
-        rn = round(num ** (1 / 3))
-        rd = round(den ** (1 / 3))
-        for cn in (rn - 1, rn, rn + 1):
-            for cd in (rd - 1, rd, rd + 1):
-                if cn > 0 and cd > 0 and cn ** 3 == num and cd ** 3 == den:
-                    return Fraction(sign * cn, cd)
-        v = float(v)
-    return math.copysign(abs(v) ** (1 / 3), v)
-
-
 def _key(v):
-    # to nine decimals: parts equal up to rounding tie, the next decides
-    z = complex(v)
+    # to nine decimals: parts equal up to rounding tie, the next decides;
+    # an exact value beyond the float range sorts as itself
+    try:
+        z = complex(v)
+    except OverflowError:
+        return (v, 0)
     return (round(z.real, 9), round(z.imag, 9))
 
 
@@ -329,7 +301,9 @@ def _match_bhe(ode):
     if isinstance(sig2, complex) or sig2 < 0:
         return NoMatch("normalizing the infinity rows needs an imaginary "
                        "or non-real stretch; outside the real catalog")
-    sigma = _sqrt_any(sig2)
+    sigma = exact_root(sig2) if isinstance(sig2, Fraction) else None
+    if sigma is None:
+        sigma = math.sqrt(sig2)
     n = s[0]
     gamma = f[0] / n
     delta = -(f[1] * sigma / n)
@@ -363,7 +337,9 @@ def _match_the(ode):
         return NoMatch("no cubic drift term; infinity is too tame for "
                        "the triconfluent display")
     sig3 = -s[0] / f[3]
-    sigma = _cbrt_any(sig3)
+    sigma = exact_root(sig3, 3) if isinstance(sig3, Fraction) else None
+    if sigma is None:
+        sigma = math.copysign(abs(float(sig3)) ** (1 / 3), sig3)
     n = s[0]
     gamma = -(f[1] * sigma / n)
     alpha = q[3] * sig3 / n

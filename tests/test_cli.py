@@ -540,6 +540,20 @@ def test_long_literals_parse_in_documents(tmp_path):
     assert _json(out)["roots"] == ["1", _BIG]
 
 
+def test_exponents_past_the_float_range_of_the_discriminant():
+    # 10^200 (s^2 + 3 s + 1): the discriminant 5*10^400 has no float, but
+    # the roots (-3 +- sqrt(5))/2 do
+    big = "1" + "0" * 200
+    doc = {"format": EQ_FORMAT, "variable": "x", "parameters": [],
+           "convention": CONVENTION, "P": {"0": big},
+           "Z": {"0": "3*" + big}, "M": {"0": big}}
+    code, out, err = call(["exponents"], stdin=json.dumps(doc))
+    assert code == 0, err
+    roots = [float(r) for r in _json(out)["roots"]]
+    assert roots == pytest.approx([(-3 - 5 ** 0.5) / 2, (-3 + 5 ** 0.5) / 2],
+                                  rel=1e-15)
+
+
 # -- limit -----------------------------------------------------------------
 
 def test_limit_preset_document():

@@ -3,6 +3,7 @@
 from fractions import Fraction
 import contextlib
 import copy
+import functools
 import io
 import json
 import pickle
@@ -20,7 +21,8 @@ from qheun.lax import (KNY_FAMILIES, KNY_GAUGED, KNYParams, InvariantViolation,
                        accessory_formula, build_kny, build_murata,
                        derive_equation, kny_to_equation, reference_equation,
                        scalar_reduce, specialize, verify_family)
-from qheun.qdiff import QDiffEq, ThreeTermRelation, classify, equations_equal
+from qheun.qdiff import (QDiffEq, ThreeTermRelation, classify, equations_equal,
+                         equations_proportional)
 from qheun.local import series_solution
 from qheun.symkernel import (DivergesAtZero, RatFun, as_ratfun, parse_expr,
                              rat, ratfun_eq, sym)
@@ -440,6 +442,76 @@ def test_verify_refuses_a_recipe_value_sent_to_zero(family, binding):
     # the same names at a nonzero value still match
     assert verify_family("murata", family,
                          {name: 2 for name in binding})["match"] is True
+
+
+def test_verify_refuses_f_sent_to_zero():
+    # every kny pencil divides by f, which the derivation freezes at n4
+    for family in ("E2b", "A1w", "E3b"):
+        with pytest.raises(SubstitutionSingular,
+                           match="%s binding sends f = n4 to 0" % family):
+            verify_family("kny", family, {"n4": 0, "k1": 0})
+
+
+def test_verify_refuses_a_zero_denominator_of_the_row():
+    # n1 = k1 = 0 holds the balance for every n8, so nothing is solved for,
+    # and the D5 row divides by n1
+    with pytest.raises(SubstitutionSingular,
+                       match="D5 binding zeroes a denominator of the row or "
+                             "its closed form"):
+        verify_family("kny", "D5", {"n1": 0, "k1": 0})
+
+
+_ROWS = ([("murata", f) for f in MURATA_FAMILIES]
+         + [("kny", f) for f in KNY_FAMILIES])
+_BINDING_VALUES = (0, 1, -1, 2, Fraction(1, 2), 3)
+
+
+@functools.cache
+def _generic(catalog, family):
+    """The generic derivation of a row and the names a binding may fix:
+    its parameters other than l, m and d."""
+    eq = derive_equation(catalog, family)
+    names = set().union(*(c.variables() for side in (eq.P, eq.Z, eq.M)
+                          for c in side))
+    return eq, sorted(names - {eq.variable, "l", "m", "d"})
+
+
+@settings(max_examples=150, deadline=None)
+@given(row=st.sampled_from(_ROWS), data=st.data())
+def test_specialisation_commutes_with_derivation_or_verify_refuses(row, data):
+    # where deriving at a binding and substituting the binding into the
+    # generic derivation are both defined, they agree up to a factor, or
+    # the binding passes a cancelled factor of the derivation and
+    # verify_family refuses it
+    catalog, family = row
+    generic, names = _generic(catalog, family)
+    fixed = data.draw(st.lists(st.sampled_from(names), min_size=1,
+                               max_size=3, unique=True))
+    binding = {n: data.draw(st.sampled_from(_BINDING_VALUES)) for n in fixed}
+    try:
+        derived = derive_equation(catalog, family, binding)
+        substituted = generic.substitute(binding)
+    except (ArithmeticError, ValueError):
+        return
+    if not equations_proportional(derived, substituted):
+        with pytest.raises(SubstitutionSingular):
+            verify_family(catalog, family, binding)
+
+
+@pytest.mark.parametrize("catalog, family, binding", [
+    ("murata", "A5", {"t": 0}),
+    ("murata", "A6", {"t": 0, "q": 2}),
+    ("murata", "A7p", {"th1": 0}),
+])
+def test_the_commuting_property_sees_the_refused_points(catalog, family,
+                                                        binding):
+    # the points where the two sides differ, each refused by verify_family
+    generic, _ = _generic(catalog, family)
+    assert not equations_proportional(derive_equation(catalog, family,
+                                                      binding),
+                                      generic.substitute(binding))
+    with pytest.raises(SubstitutionSingular):
+        verify_family(catalog, family, binding)
 
 
 @pytest.mark.parametrize("family", KNY_FAMILIES)

@@ -12,7 +12,7 @@ from qheun.gauge import gauge_power
 from qheun.lax import derive_equation
 from qheun.local import (CharData, DegenerateEquation, Resonance,
                          SeriesSolution, UnboundParameter, char_exponents,
-                         exact_sqrt, quad_roots, residual, series_solution)
+                         exact_root, quad_roots, residual, series_solution)
 from qheun.qdiff import QDiffEq
 from qheun.symkernel import parse_expr, rat, ratfun_eq, sym
 
@@ -114,10 +114,10 @@ def _sorted(roots):
 
 @given(st.fractions(max_denominator=10 ** 6), st.fractions())
 def test_rational_square_roots_are_found_exactly(f, g):
-    r = exact_sqrt(f)
+    r = exact_root(f)
     assert r is None or (r >= 0 and r * r == f)
-    assert exact_sqrt(g * g) == abs(g)
-    assert exact_sqrt(g.numerator ** 2) == abs(g.numerator)
+    assert exact_root(g * g) == abs(g)
+    assert exact_root(g.numerator ** 2) == abs(g.numerator)
 
 
 @given(_RATS, _RATS, _RATS)
@@ -129,7 +129,7 @@ def test_quadratic_roots_solve_the_quadratic(a, b, c):
         assert roots == (() if b == 0 else (-c / b,))
         return
     assert len(roots) == 2
-    exact = exact_sqrt(b * b - 4 * a * c) is not None
+    exact = exact_root(b * b - 4 * a * c) is not None
     assert all(isinstance(r, Fraction) for r in roots) == exact
     if exact:
         assert all(a * r * r + b * r + c == 0 for r in roots)
@@ -168,6 +168,67 @@ def test_quadratic_roots_recover_rational_roots(r1, r2, k):
     assert quad_roots(k, -k * (r1 + r2), k * r1 * r2) == tuple(
         sorted((r1, r2)))
     assert quad_roots(k.numerator, 0, 0) == (0, 0)
+
+
+@given(st.fractions(), st.sampled_from([2, 3]))
+def test_exact_root_finds_perfect_powers(g, k):
+    # a perfect power comes back exactly; an odd k keeps the sign of g,
+    # an even k gives the nonnegative root
+    want = abs(g) if k % 2 == 0 else g
+    assert exact_root(g ** k, k) == want
+    assert exact_root(g.numerator ** k, k) == (
+        abs(g.numerator) if k % 2 == 0 else g.numerator)
+    if g:
+        # 2 g^k is no k-th power, and an even power has no negative root
+        assert exact_root(2 * g ** k, k) is None
+        assert exact_root(-g ** 2, 2) is None
+        assert exact_root(-g ** 3, 3) == -g
+
+
+@given(st.fractions(max_denominator=10 ** 6), st.sampled_from([2, 3]))
+def test_exact_root_refuses_non_powers(f, k):
+    r = exact_root(f, k)
+    assert r is None or r ** k == f
+    # an even root of a negative value does not exist over Q
+    if k % 2 == 0 and f < 0:
+        assert r is None
+
+
+@pytest.mark.parametrize("f, k, want", [
+    (Fraction(-8, 27), 3, Fraction(-2, 3)),
+    (Fraction(-4, 9), 2, None),
+    (Fraction(2), 2, None),
+    (Fraction(2), 3, None),
+    (Fraction(10 ** 45 + 1), 3, None),
+    (Fraction(10 ** 402), 3, Fraction(10 ** 134)),
+    (Fraction(1, 10 ** 402), 3, Fraction(1, 10 ** 134)),
+    (Fraction(0), 3, Fraction(0)),
+    (Fraction(1), 3, Fraction(1)),
+])
+def test_exact_root_edge_values(f, k, want):
+    assert exact_root(f, k) == want
+
+
+def test_roots_of_a_discriminant_beyond_the_float_range():
+    # b^2 - 4ac = 5*10^400 has no float, but the roots (-3 +- sqrt(5))/2
+    # do, and come out correctly rounded
+    big = 10 ** 200
+    roots = quad_roots(big, 3 * big, big)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        root5, root2 = Decimal(5).sqrt(), Decimal(2).sqrt() * Decimal(big)
+    assert roots == (float((-3 - root5) / 2), float((-3 + root5) / 2))
+    # complex roots the same way: 10^400 (s^2 + s + 1) = 0
+    pair = quad_roots(big * big, big * big, big * big)
+    assert pair[0] == pair[1].conjugate() and pair[0].imag < 0
+    assert pair[0] == complex(-0.5, -(3 ** 0.5) / 2)
+    # coefficients far apart: s^2 - 2*10^400 has the roots +-sqrt(2)*10^200
+    assert quad_roots(1, 0, -2 * big * big) == (-float(root2), float(root2))
+    # a perfect square discriminant stays exact at any size
+    assert quad_roots(big, -3 * big, 2 * big) == (1, 2)
+    # a root beyond the float range cannot be a float
+    with pytest.raises(OverflowError):
+        quad_roots(1, big * big + 1, 1)
 
 
 def test_gauge_power_shifts_characteristic():

@@ -316,6 +316,30 @@ def test_match_the_exact_cube_root():
     assert isinstance(p.gamma, Fraction)
 
 
+def test_match_the_float_stretch_off_a_cube():
+    # sigma^3 = 2 has no rational root: the real cube root comes in floats
+    p = match_class(HeunODE((2,), (0, -1, 0, -1), (0, 0, 4, 16)))
+    sigma = 2 ** (1 / 3)
+    assert p == THEParams(16, sigma / 2, 4 * sigma * sigma / 2)
+    # a negative ratio keeps its sign: sigma = -2^(1/3) over n = -2
+    q = match_class(HeunODE((-2,), (0, -1, 0, -1), (0, 0, 4, 16)))
+    assert q == THEParams(16, sigma / 2, -4 * sigma * sigma / 2)
+
+
+@pytest.mark.parametrize("e", [42, 45, 402])
+def test_match_the_exact_cube_root_at_any_size(e):
+    # sigma^3 = 10^e: the stretch 10^(e/3) is exact however large it is
+    ode = HeunODE((F(10 ** e),), (0, -2, 0, -1), (0, 0, 3, 1))
+    want = THEParams(1, F(2, 10 ** (2 * e // 3)), F(3, 10 ** (e // 3)))
+    assert match_class(ode) == want
+    assert match_class(to_operator(want)) == want
+
+
+def test_match_he_with_a_branch_point_beyond_the_float_range():
+    p = HEParams(1, 2, 3, F(1, 2), F(1, 2), 10 ** 320, 5)
+    assert match_class(to_operator(p)) == p
+
+
 def test_match_never_raises_on_forged_tags():
     forged = HeunODE((0, 1), (0, 0, -1), (0, 1), class_="DHE")
     out = match_class(forged)

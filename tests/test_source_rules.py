@@ -237,3 +237,28 @@ def test_no_private_fraction_api(path):
             and node.name in _PRIVATE_FRACTION]
     assert not hits, "%s uses the private Fraction API on line(s) %s" % (
         path.name, hits)
+
+
+def _isqrt_calls(tree):
+    # "math.isqrt(n)" or a bare "isqrt(n)" after "from math import isqrt"
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and (isinstance(node.func, ast.Attribute)
+                 and node.func.attr == "isqrt"
+                 or isinstance(node.func, ast.Name)
+                 and node.func.id == "isqrt")]
+
+
+@pytest.mark.parametrize("path", _SOURCES, ids=lambda p: p.name)
+def test_only_local_takes_integer_roots(path):
+    # local.exact_root is the one integer-root helper; a root taken
+    # elsewhere would be a second copy to keep exact
+    hits = _isqrt_calls(_tree(path))
+    assert path.name == "local.py" or not hits, (
+        "%s calls isqrt on line(s) %s" % (path.name, hits))
+
+
+def test_the_isqrt_rule_sees_each_form():
+    tree = ast.parse("import math\nfrom math import isqrt\n"
+                     "math.isqrt(4)\nisqrt(9)\n")
+    assert _isqrt_calls(tree) == [3, 4]
