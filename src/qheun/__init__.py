@@ -25,7 +25,7 @@ _HOME = {name: module for module, names in (
             "InvariantViolation LaxMatrix MURATA_FAMILIES MurataParams "
             "SubstitutionSingular accessory_formula build_kny build_murata "
             "derive_equation kny_to_equation reference_equation "
-            "scalar_reduce specialize verify_family"),
+            "scalar_reduce specialize UnknownRoute verify_family"),
     ("local", "CharData DegenerateEquation Resonance SeriesSolution "
               "UnboundParameter char_exponents residual series_solution"),
     ("climit", "AllZero EpsilonFamily HeunODE IrregularAtZero LimitData "

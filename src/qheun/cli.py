@@ -223,22 +223,11 @@ def _emit_json(obj, path):
 
 def _cmd_derive(args):
     from . import lax
-    catalog, family = args.catalog, args.family
-    roster = (lax.MURATA_FAMILIES if catalog == "murata"
-              else lax.KNY_FAMILIES)
-    _fail(family in roster, "catalog %s has no family %r (have %s)"
-          % (catalog, family, ", ".join(roster)))
-    if catalog == "murata":
-        _fail(args.gauge is None, "--gauge only applies to the kny catalog")
-        have = lax.MURATA_VARIANTS[family]
-        _fail(args.variant in (None,) + have,
-              "family %s has no %r variant (have %s)"
-              % (family, args.variant, ", ".join(have)))
-    else:
-        _fail(args.variant is None,
-              "--variant only applies to the murata catalog")
-    eq = lax.derive_equation(catalog, family, variant=args.variant,
-                             gauge=args.gauge)
+    try:
+        eq = lax.derive_equation(args.catalog, args.family,
+                                 variant=args.variant, gauge=args.gauge)
+    except lax.UnknownRoute as bad:
+        raise UsageError(str(bad)) from None
     _emit_json(write_equation(eq), args.out)
     return 0
 

@@ -202,11 +202,11 @@ class HeunODE(namedtuple("_HeunODE", "second first zeroth class_ rho "
     second, first and zeroth hold the coefficient tuples of S, F and Q
     by ascending degree (quadratic rows for everything the q -> 1 limit
     emits; the triconfluent shape needs cubic entries), with integer
-    entries stored as Fractions and trailing zeros dropped.  class_, rho
-    and limits are None until classify_ode fills them: rho is the power
-    x^rho split off to clear the constant slot of the zeroth row, limits
-    the limit data read off the rows.  ``_replace`` and ``_make`` build a
-    record without the trim and the all-zero check.
+    entries stored as Fractions and trailing zeros dropped.  class_, rho,
+    limits and singularities are classify_ode's output, never its input:
+    rho is the power x^rho split off to clear the constant slot of the
+    zeroth row, limits the limit data read off the rows.  ``_replace``
+    and ``_make`` build a record without the trim and the all-zero check.
     """
 
     __slots__ = ()
@@ -273,11 +273,13 @@ def _gauge_data(b, rho):
 def classify_ode(ode: HeunODE) -> HeunODE:
     """Decide which Heun-class pattern the operator realizes.
 
-    When the constant slot of the zeroth row is nonzero the operator is
-    first normalized by g -> x^rho * g with rho a root of the exponent
-    equation at the origin; the chosen rho is recorded, and so is the
-    limit data read off the rows, in ``limits``.  Raises Unclassifiable
-    (with a diagnostic) when no catalogued pattern fits.
+    The one decision of a class, read off the rows alone: the class_,
+    rho, limits and singularities a record holds are ignored.  A nonzero
+    constant slot of the zeroth row is first cleared by g -> x^rho * g,
+    rho a root of the exponent equation at the origin; otherwise the rows
+    are kept, so a classified record classifies to itself.  rho is
+    recorded, and so is the limit data read off the rows, in ``limits``.
+    Raises Unclassifiable (with a diagnostic) when no pattern fits.
     """
     if any(len(getattr(ode, r)) > 3 for r in ("second", "first", "zeroth")):
         return _classify_cubic(ode)
@@ -301,6 +303,7 @@ def classify_ode(ode: HeunODE) -> HeunODE:
                 "origin exponent relation not satisfied (residual %r)"
                 % (b.b00,))
         b = b._replace(b00=_ZERO)
+        ode = emit_ode(b)
 
     if b.b2 != 0:
         if b.b0 == 0:
@@ -327,8 +330,7 @@ def classify_ode(ode: HeunODE) -> HeunODE:
     else:
         raise Unclassifiable(
             "the whole second-derivative row vanishes in the limit")
-    return emit_ode(b)._replace(class_=label, rho=rho, limits=b,
-                                singularities=sing)
+    return ode._replace(class_=label, rho=rho, limits=b, singularities=sing)
 
 
 def _classify_cubic(ode):
@@ -344,16 +346,17 @@ def _classify_cubic(ode):
 def ode_series(ode: HeunODE, N=10):
     """Series coefficients c[0..N] of the origin branch with exponent 0.
 
-    The operator is classified (and x^rho-normalized) first if needed;
-    the returned coefficients expand the analytic factor, starting from
-    c_0 = 1.  Raises IrregularAtZero when the origin is ramified and no
-    power branch exists, Resonance when the recurrence denominator
-    vanishes at a finite order, and ValueError for a negative N.
+    The class, the x^rho split and the limit data come from
+    classify_ode(ode), not from the record; the coefficients expand the
+    analytic factor, starting from c_0 = 1.  Raises Unclassifiable as
+    classify_ode does, IrregularAtZero when the origin is ramified and
+    no power branch exists, Resonance when the recurrence denominator
+    vanishes at a finite order, and ValueError for cubic rows or a
+    negative N.
     """
     if N < 0:
         raise ValueError("N must be nonnegative, not %d" % N)
-    if ode.class_ is None:
-        ode = classify_ode(ode)
+    ode = classify_ode(ode)
     if ode.class_ in ("THE", "Other"):
         raise ValueError("series expansion is only provided for the "
                          "quadratic-row classes, not %r" % ode.class_)
@@ -406,7 +409,7 @@ def crosscheck(fam: EpsilonFamily, eps, xs, N=12) -> float:
     idx = min(range(len(ch.roots)),
               key=lambda i: abs(complex(ch.roots[i]) - 1))
     sol = series_solution(eq, {"q": 1 + eps}, rootIndex=idx, N=N)
-    d = ode_series(classify_ode(emit_ode(limit_coefficients(fam))), N=N)
+    d = ode_series(emit_ode(limit_coefficients(fam)), N=N)
     c = sol.coefficients
     gap = max((abs(sum(cn * x ** n for n, cn in enumerate(c))
                    - sum(dn * x ** n for n, dn in enumerate(d)))

@@ -63,6 +63,10 @@ class SubstitutionSingular(ValueError):
     """A binding or the frozen pencil made a denominator vanish identically."""
 
 
+class UnknownRoute(ValueError):
+    """No such derivation route; the message lists the routes there are."""
+
+
 MURATA_FAMILIES = ("A4", "A5", "A5s", "A6", "A6s", "A7", "A7p")
 KNY_FAMILIES = ("D5", "A4w", "E3a", "E3b", "E2a", "E2b", "A1w", "A1w8")
 
@@ -165,7 +169,8 @@ class MurataParams(namedtuple("_MurataParams", "family binding")):
 
     def __new__(cls, family, binding=None):
         if family not in MURATA_FAMILIES:
-            raise ValueError("unknown matrix-pencil family %r" % (family,))
+            raise UnknownRoute("unknown matrix-pencil family %r (have %s)"
+                               % (family, ", ".join(MURATA_FAMILIES)))
         binding = _checked_binding(
             family, binding, _MURATA_SHARED + _MURATA_EXTRA[family])
         if any(binding.get(name, 1) == 0 for name in ("q", "w")):
@@ -437,7 +442,9 @@ def specialize(family, variant, relation, binding=None):
     """
     recipe = _MURATA_RECIPES.get((family, variant))
     if recipe is None:
-        raise ValueError("family %s has no %r variant" % (family, variant))
+        have = ", ".join(MURATA_VARIANTS.get(family, ())) or "none"
+        raise UnknownRoute("family %s has no %r variant (have %s)"
+                           % (family, variant, have))
     binding = binding or {}
     qv = binding.get("q", _mu("q"))
     name, text = recipe["set"]
@@ -487,7 +494,8 @@ class KNYParams(namedtuple("_KNYParams", "family binding")):
 
     def __new__(cls, family, binding=None):
         if family not in KNY_FAMILIES:
-            raise ValueError("unknown operator-pencil family %r" % (family,))
+            raise UnknownRoute("unknown operator-pencil family %r (have %s)"
+                               % (family, ", ".join(KNY_FAMILIES)))
         binding = _checked_binding(family, binding, cls._NAMES)
         if family in KNY_GAUGED and binding.get("k1", 1) == 0:
             raise InvariantViolation("k1 must not vanish in %s: it scales "
@@ -771,8 +779,9 @@ def derive_equation(catalog, family, binding=None, variant=None, gauge=None):
     whether kny_to_equation applies the extra linear gauge; None for
     either takes the route the summary row records.
 
-    Raises ValueError (unknown names; a gauge given for a murata row, a
-    variant for a kny row, or a variant the family does not admit),
+    Raises UnknownRoute, a ValueError (unknown names; a gauge given for a
+    murata row, a variant for a kny row, or a variant the family does not
+    admit), ValueError (a binding of an unknown or recipe-fixed name),
     InvariantViolation (a broken constraint or identity),
     SubstitutionSingular (a binding that zeroes a denominator: of the kny
     pencil or the A4 constraint, of the murata pencil entries, as l = 0
@@ -782,7 +791,7 @@ def derive_equation(catalog, family, binding=None, variant=None, gauge=None):
     """
     if catalog == "murata":
         if gauge is not None:
-            raise ValueError("the gauge only applies to the kny catalog")
+            raise UnknownRoute("the gauge only applies to the kny catalog")
         params = MurataParams(family, binding)
         relation = scalar_reduce(build_murata(params))
         if variant is None:
@@ -790,12 +799,12 @@ def derive_equation(catalog, family, binding=None, variant=None, gauge=None):
         return specialize(family, variant, relation, binding=params.binding)
     if catalog == "kny":
         if variant is not None:
-            raise ValueError("a variant only applies to the murata catalog")
+            raise UnknownRoute("a variant only applies to the murata catalog")
         op = build_kny(KNYParams(family, binding))
         if gauge is None:
             gauge = family in KNY_GAUGED
         return kny_to_equation(op, apply_gauge=gauge)
-    raise ValueError("unknown catalog %r" % (catalog,))
+    raise UnknownRoute("unknown catalog %r (have murata, kny)" % (catalog,))
 
 
 @functools.cache

@@ -89,10 +89,11 @@ def quad_roots(a, b, c):
     Rational data with a rational square discriminant gives exact
     Fraction roots.  Otherwise the square root is taken in complex
     floats, and a root whose imaginary part is rounding noise is
-    returned as a real float; a rational discriminant beyond the float
-    range takes an integer square root, and only a root beyond it raises
-    OverflowError.  When a = 0 the single root of the linear equation is
-    returned, and no root when b = 0 as well.
+    returned as a real float.  A discriminant beyond the float range is
+    taken through an integer square root for rational data, and by
+    dividing out a power of two for float or complex data; a root beyond
+    the range then raises OverflowError.  When a = 0 the single root of
+    the linear equation is returned, and no root when b = 0 as well.
     """
     # ints divide as Fractions, so integer data keeps exact roots
     a, b, c = (Fraction(v) if isinstance(v, int) else v for v in (a, b, c))
@@ -114,6 +115,16 @@ def quad_roots(a, b, c):
             big = -(b + root if b >= 0 else b - root) / 2
             pair = (float(big / a), float(c / big))
     else:
+        if isinstance(disc, (float, complex)) and not (
+                math.isfinite(disc.real) and math.isfinite(disc.imag)):
+            # b*b or 4ac left the float range: divide out the power of two
+            # that takes |b| and sqrt|ac| below 1, which keeps the roots
+            ea, eb, ec = (math.frexp(abs(v))[1] for v in (a, b, c))
+            scale = 2.0 ** -max(eb, (ea + ec) // 2)
+            a, b, c = a * scale, b * scale, c * scale
+            if not a:
+                raise OverflowError("a root is beyond the float range")
+            disc = b * b - 4 * a * c
         if not isinstance(disc, complex) and disc < 0:
             # real data, complex roots: an exact conjugate pair, so the
             # sort orders it by the sign of the imaginary part, not noise
@@ -318,7 +329,7 @@ def residual(eq: QDiffEq, sol: SeriesSolution, x):
         if exact and isinstance(coef, (int, Fraction)):
             tnum = coef.numerator * parts[n][0]
             tden = coef.denominator * parts[n][1]
-            # the denominators nest along the series, so this gcd is cheap
+            # one denominator need not divide the next: this gcd does work
             g = math.gcd(den, tden)
             num = num * (tden // g) + tnum * (den // g)
             den = den // g * tden

@@ -280,9 +280,6 @@ def _match_che(ode):
     sigma = -s[0] / s[1]
     n = -s[0]
     beta = -(f[2] * sigma * sigma / n)
-    if beta == 0:
-        return NoMatch("reduced confluent shape: no quadratic term in "
-                       "the first-derivative row")
     gamma = -(f[0] / n)
     delta = f[1] * sigma / n - gamma - beta
     alpha = -(q[2] * sigma * sigma / n) / beta
@@ -290,15 +287,19 @@ def _match_che(ode):
     return CHEParams(alpha, beta, gamma, delta, B)
 
 
+def _real(v):
+    if isinstance(v, complex):
+        return v.real if v.imag == 0 else None
+    return v
+
+
 def _match_bhe(ode):
     s, f, q = ode.padded(3)
     if f[2] == 0:
         return NoMatch("no quadratic term in the first-derivative row; "
                        "the infinity structure is too degenerate")
-    sig2 = -s[0] / f[2]
-    if isinstance(sig2, complex) and sig2.imag == 0:
-        sig2 = sig2.real
-    if isinstance(sig2, complex) or sig2 < 0:
+    sig2 = _real(-s[0] / f[2])
+    if sig2 is None or sig2 < 0:
         return NoMatch("normalizing the infinity rows needs an imaginary "
                        "or non-real stretch; outside the real catalog")
     sigma = exact_root(sig2) if isinstance(sig2, Fraction) else None
@@ -314,15 +315,10 @@ def _match_bhe(ode):
 
 def _match_dhe(ode):
     s, f, q = ode.padded(3)
-    if f[2] == 0:
-        return NoMatch("no quadratic term in the first-derivative row; "
-                       "the infinity structure is too degenerate")
     sigma = -s[1] / f[2]
     n = s[1] * sigma
     gamma = -(f[1] * sigma / n)
     delta = -(f[0] / n)
-    if delta == 0:
-        return NoMatch("reduced DHE: the origin is ramified")
     alpha = -(q[2] * sigma * sigma / n)
     B = q[1] * sigma / n
     return DHEParams(alpha, gamma, delta, B)
@@ -330,13 +326,9 @@ def _match_dhe(ode):
 
 def _match_the(ode):
     s, f, q = ode.padded(4)
-    if s[1] or s[2] or s[3] or f[0] or f[2] or q[0] or q[1]:
-        return NoMatch("extra terms outside the triconfluent sparsity "
-                       "pattern")
-    if f[3] == 0:
-        return NoMatch("no cubic drift term; infinity is too tame for "
-                       "the triconfluent display")
-    sig3 = -s[0] / f[3]
+    sig3 = _real(-s[0] / f[3])
+    if sig3 is None:
+        return NoMatch("the stretch -S0/F3 is non-real: outside the catalog")
     sigma = exact_root(sig3, 3) if isinstance(sig3, Fraction) else None
     if sigma is None:
         sigma = math.copysign(abs(float(sig3)) ** (1 / 3), sig3)
@@ -364,34 +356,29 @@ _MATCHERS = {"HE": _match_he, "CHE": _match_che, "BHE": _match_bhe,
 def match_class(ode: HeunODE):
     """Read named parameters off an operator, or say why that fails.
 
-    Unclassified input is classified first.  The operator is normalized
-    by x -> sigma*x and an overall scale; the stretch sigma is pinned by
-    the highest-degree drift entry, with ties broken toward an exact
-    identity map and then toward the lexicographically least parameter
-    tuple.  Never raises: every obstruction comes back as a NoMatch
-    value whose obstruction attribute says what blocked the reading.
+    The class comes from classify_ode(ode) alone, whatever class_ the
+    record holds, and the operator it returns is normalized by x ->
+    sigma*x and an overall scale; the stretch sigma is pinned by the
+    highest-degree drift entry, with ties broken toward an exact identity
+    map and then toward the lexicographically least parameter tuple.
+    Never raises: every obstruction comes back as a NoMatch value whose
+    obstruction attribute says what blocked the reading.
 
     Orbit declarations: the four-point reading returns alpha, beta as a
     sorted pair (the display is symmetric in them), and the biconfluent
     stretch uses the positive square root (the negative one negates
     delta and the accessory entry).
     """
-    if ode.class_ is None:
-        try:
-            ode = classify_ode(ode)
-        except (AllZero, Unclassifiable, ArithmeticError) as exc:
-            return NoMatch(str(exc))
-    matcher = _MATCHERS.get(ode.class_)
-    if matcher is None:
-        return NoMatch(_REFUSED.get(
-            ode.class_, "unrecognized operator class %r" % (ode.class_,)))
-    # every class but THE reads its display off rows with Q(0) = 0
-    if matcher is not _match_the and ode.coefficient("zeroth", 0) != 0:
-        return NoMatch("a constant term survives in the undifferentiated "
-                       "row; split off an origin power first")
     try:
-        return matcher(ode)
+        ode = classify_ode(ode)
+    except (AllZero, Unclassifiable, ArithmeticError) as exc:
+        return NoMatch(str(exc))
+    if ode.class_ in _REFUSED:
+        return NoMatch(_REFUSED[ode.class_])
+    try:
+        return _MATCHERS[ode.class_](ode)
     except (ArithmeticError, ValueError) as exc:
-        # rows inconsistent with the declared class tag
+        # float rows of the class whose reading underflows or overflows:
+        # a beta or delta that rounds to 0 divides or breaks its record
         return NoMatch("degenerate rows for class %s: %s"
                        % (ode.class_, exc))

@@ -249,6 +249,40 @@ def test_derive_usage_errors():
     assert call(["derive", "--catalog", "np", "--family", "D5"])[0] == 2
 
 
+@pytest.mark.parametrize("flags, have", [
+    (("--catalog", "murata", "--family", "Z9"), "(have A4, A5, A5s"),
+    (("--catalog", "kny", "--family", "Z9"), "(have D5, A4w, E3a"),
+    (("--catalog", "murata", "--family", "A4", "--variant", "alt"),
+     "(have paper)"),
+    (("--catalog", "murata", "--family", "A4", "--gauge"), "kny catalog"),
+    (("--catalog", "kny", "--family", "D5", "--variant", "alt"),
+     "murata catalog"),
+])
+def test_derive_route_refusals_come_from_lax(flags, have):
+    # lax refuses each route that does not exist, with an UnknownRoute
+    # that the CLI reports as a usage error
+    code, out, err = call(["derive", *flags])
+    assert code == 2 and out == "" and have in err
+    keywords = {"gauge": True if "--gauge" in flags else None,
+                "variant": "alt" if "--variant" in flags else None}
+    with pytest.raises(lax.UnknownRoute) as info:
+        lax.derive_equation(flags[1], flags[3], **keywords)
+    assert isinstance(info.value, ValueError)
+    assert "error: %s\n" % info.value == err
+
+
+def test_unknown_routes_raise_in_the_steps_themselves():
+    for build in (lax.MurataParams, lax.KNYParams):
+        with pytest.raises(lax.UnknownRoute, match="have"):
+            build("Z9")
+    with pytest.raises(lax.UnknownRoute, match="no 'alt' variant"):
+        lax.specialize("A4", "alt", None)
+    with pytest.raises(lax.UnknownRoute, match="have none"):
+        lax.specialize("Z9", "paper", None)
+    with pytest.raises(lax.UnknownRoute, match="unknown catalog"):
+        lax.derive_equation("np", "A4")
+
+
 def test_derive_to_file(tmp_path):
     target = tmp_path / "eq.json"
     code, out, _ = call(["derive", "--catalog", "murata", "--family",
@@ -645,6 +679,18 @@ def test_limit_flag_validation(tmp_path):
                                  "zero": ["-2", "0", "0"],
                                  "minus": ["1", "0", "0"]}))
     assert call(["limit", "--family-file", str(path2)])[0] == 2
+
+
+def test_limit_family_entry_in_another_parameter(tmp_path):
+    # each entry is a function of eps alone
+    path = tmp_path / "fam.json"
+    path.write_text(json.dumps({"format": FAMILY_FORMAT,
+                                "plus": ["1 + t", "0", "0"],
+                                "zero": ["-2", "0", "0"],
+                                "minus": ["1", "0", "0"]}))
+    code, out, err = call(["limit", "--family-file", str(path)])
+    assert (code, out) == (2, "")
+    assert "invalid family document" in err
 
 
 # -- verify ----------------------------------------------------------------

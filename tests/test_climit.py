@@ -7,7 +7,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import qheun
 from qheun import climit
@@ -452,6 +452,15 @@ def test_crosscheck_at_eps_zero_is_resonant():
         crosscheck(preset_family("heun"), 0, (F(1, 10),), N=12)
 
 
+def test_crosscheck_without_an_origin_root():
+    # P0 = M0 = 0 at every eps: the characteristic quadratic at the origin
+    # has no nonzero root, so there is no q-branch to compare
+    fam = EpsilonFamily(plus=("0", "1", "0"), zero=("1", "-2", "0"),
+                        minus=("0", "1", "0"))
+    with pytest.raises(ValueError, match="no characteristic root"):
+        crosscheck(fam, F(1, 100), (F(1, 10),))
+
+
 def test_crosscheck_refuses_an_empty_sample():
     # no point, no gap: 0.0 would read as a perfect match; an iterator
     # has no length, so it must be taken in before the check
@@ -488,6 +497,41 @@ def test_classify_preserves_limits_without_gauge(b2, b1, b0, b21, b11,
         assert (b2, b1) == (0, 0) and b0 != 0
     else:
         assert (b2, b0) == (0, 0) and b1 != 0
+
+
+_exact_entry = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+_float_entry = st.floats(min_value=-3, max_value=3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.tuples(*[st.lists(st.one_of(_exact_entry, _float_entry),
+                                 min_size=3, max_size=4)] * 3))
+@example(rows=([1, 1], [1, 1, 1], [1, 1, 1]))
+@example(rows=([0.5, 1], [0.25, 1, 3], [0.1, 2]))
+@example(rows=([1], [0, -3, 0, -1], [0, 0, 5, 2]))
+@example(rows=([F(-7, 3), 0, 1], [F(-1, 2), 0, 0], [-1, 0, 0]))
+def test_classify_reads_its_own_output_back(rows):
+    # one decision: a classified record classifies to itself, and rows
+    # that need no x^rho split are kept as given
+    try:
+        once = classify_ode(HeunODE(*rows))
+    except (AllZero, Unclassifiable, ArithmeticError):
+        return
+    twice = classify_ode(once)
+    fields = ("second", "first", "zeroth", "class_", "singularities")
+    assert [getattr(twice, f) for f in fields] == \
+        [getattr(once, f) for f in fields]
+    assert twice.rho == 0
+    # exact rows may take an irrational x^rho split into float rows
+    exact = all(isinstance(v, Fraction)
+                for row in (once.second, once.first, once.zeroth)
+                for v in row)
+    if exact:
+        assert twice.limits == once.limits
+    if rows[2][0] == 0:
+        for got, given_row in zip((once.second, once.first, once.zeroth),
+                                  rows):
+            assert list(got) == list(HeunODE(given_row, (), (1,)).second)
 
 
 @settings(max_examples=40, deadline=None)

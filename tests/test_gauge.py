@@ -137,6 +137,11 @@ def test_move_factor_unknown_kind():
         gauge_move_factor(SAMPLE, "Gamma", 1)
 
 
+def test_move_factor_refuses_a_parameter_in_the_variable():
+    with pytest.raises(ValueError, match="must not contain the variable"):
+        gauge_move_factor(QDiffEq([1], [1], [0, 1]), "Pochhammer", sym("x"))
+
+
 def test_move_factor_roundtrips_exact():
     before = make_eq("1", "-(b1*x + b0)", "c*(1 - g1*x)*(1 - g2*x)")
     for kind, alpha in (("Pochhammer", P("g2")),):

@@ -231,6 +231,26 @@ def test_roots_of_a_discriminant_beyond_the_float_range():
         quad_roots(1, big * big + 1, 1)
 
 
+def test_roots_of_float_data_whose_discriminant_overflows():
+    # b*b = inf in floats, yet the roots -1e200 and -1e-200 are floats:
+    # the coefficients are divided by a power of two first
+    r1, r2 = quad_roots(1.0, 1e200, 1.0)
+    assert r1 == pytest.approx(-1e200, rel=1e-15)
+    assert r2 == pytest.approx(-1e-200, rel=1e-15)
+    # 4ac overflows: 1e300 (s^2 + s + 1)
+    pair = quad_roots(1e300, 1e300, 1e300)
+    assert pair[0] == pytest.approx(complex(-0.5, -(3 ** 0.5) / 2))
+    assert pair[1] == pair[0].conjugate()
+    # complex data: i s^2 + 1e200 s + 1e200 i = 0 has the roots -i and
+    # about 1e200 i
+    low, high = quad_roots(1j, 1e200, 1e200j)
+    assert low == pytest.approx(-1j, rel=1e-15)
+    assert high == pytest.approx(1e200j, rel=1e-15)
+    # a root beyond the float range still cannot be a float
+    with pytest.raises(OverflowError):
+        quad_roots(1e-300, 1e200, 1.0)
+
+
 def test_gauge_power_shifts_characteristic():
     eq = derive_equation("murata", "A4")
     base = char_exponents(eq, "Zero")

@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qheun.climit import HeunODE, classify_ode, emit_ode, limit_coefficients
-from qheun.climit import preset_family
+from qheun.climit import (ODE_CLASSES, HeunODE, classify_ode, emit_ode,
+                          limit_coefficients, ode_series, preset_family)
 from qheun.odeheun import (
     BHEParams,
     CHEParams,
@@ -243,13 +243,58 @@ def test_match_preset_limits():
             ode.second, ode.first, ode.zeroth)
 
 
-@pytest.mark.parametrize("class_", ("HE", "CHE", "BHE", "DHE"))
-def test_match_origin_constant_is_an_obstruction(class_):
-    out = match_class(HeunODE((1, 1), (1, 1, 1), (1, 1, 1), class_=class_))
-    assert isinstance(out, NoMatch)
-    assert out.obstruction == ("a constant term survives in the "
-                               "undifferentiated row; split off an origin "
-                               "power first")
+def _outcome(read, *args):
+    """What one reading returns, or the type and text of its refusal."""
+    try:
+        return read(*args)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+_exact_row = st.lists(st.fractions(min_value=-3, max_value=3,
+                                   max_denominator=3), min_size=3,
+                      max_size=4)
+
+
+@settings(max_examples=120, deadline=None)
+@given(rows=st.tuples(_exact_row, _exact_row, _exact_row))
+# a constant term in the zeroth row: classify_ode splits off x^rho
+@example(rows=([1, 1], [1, 1, 1], [1, 1, 1]))
+# HE rows, which a forged CHE tag must not read as CHEParams(1, 1/9, ...)
+@example(rows=([1, -3, 2], [1, 1, 1], [0, 1, 1]))
+# triconfluent rows
+@example(rows=([1], [0, -3, 0, -1], [0, 0, 5, 2]))
+# a complex origin exponent: the classified record holds float rows
+@example(rows=([F(-7, 3), 0, 1], [F(-1, 2), 0, 0], [-1, 0, 0]))
+def test_a_forged_class_tag_changes_no_reading(rows):
+    # the class comes from classify_ode alone: no tag that a record
+    # holds, right or wrong, moves match_class or ode_series
+    if not any(any(r) for r in rows):
+        return
+    raw = HeunODE(*rows)
+    records = [raw]
+    try:
+        records.append(classify_ode(raw))
+    except ValueError:
+        pass
+    # a classified record may hold float rows (an irrational x^rho split),
+    # so each record is compared with itself
+    for o in records:
+        want_match = match_class(o)
+        want_series = _outcome(ode_series, o, 6)
+        for tag in ODE_CLASSES:
+            assert match_class(o._replace(class_=tag)) == want_match, tag
+            forged = o._replace(class_=tag, limits=None)
+            assert _outcome(ode_series, forged, 6) == want_series, tag
+
+
+def test_a_forged_tag_does_not_misread_the_rows():
+    rows = ((1, -3, 2), (1, 1, 1), (0, 1, 1))
+    he = match_class(HeunODE(*rows))
+    assert isinstance(he, HEParams)
+    assert match_class(HeunODE(*rows, class_="CHE")) == he
+    assert ode_series(HeunODE(*rows, class_="HE"), 4) == \
+        ode_series(HeunODE(*rows), 4)
 
 
 def test_match_reduced_dhe_is_an_obstruction():
@@ -324,6 +369,16 @@ def test_match_the_float_stretch_off_a_cube():
     # a negative ratio keeps its sign: sigma = -2^(1/3) over n = -2
     q = match_class(HeunODE((-2,), (0, -1, 0, -1), (0, 0, 4, 16)))
     assert q == THEParams(16, sigma / 2, -4 * sigma * sigma / 2)
+
+
+def test_match_the_non_real_stretch_is_an_obstruction():
+    # -S0/F3 = 1j has no real cube root to stretch by
+    out = match_class(HeunODE((1j,), (0, -1, 0, -1), (0, 0, 1, 1)))
+    assert isinstance(out, NoMatch) and "non-real" in out.obstruction
+    # a complex ratio on the real axis is read as the real one
+    p = match_class(HeunODE((8 + 0j,), (0, -1, 0, -1), (0, 0, 4, 16)))
+    assert isinstance(p, THEParams)
+    assert abs(p.alpha - 16) < 1e-12 and abs(p.gamma - 0.25) < 1e-12
 
 
 @pytest.mark.parametrize("e", [42, 45, 402])

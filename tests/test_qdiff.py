@@ -360,6 +360,11 @@ def test_classify_invariant_under_common_scaling(nz, scale):
     assert classify(e.scaled(P(scale))) == s
 
 
+def test_scaling_by_zero_is_refused():
+    with pytest.raises(ValueError, match="scale factor is zero"):
+        QDiffEq([1], [1], [0, 1]).scaled(0)
+
+
 @given(nz=st.sets(st.sampled_from(SLOTS), min_size=1))
 def test_signature_matches_support(nz, ):
     e = eq_from_pattern(nz)

@@ -262,3 +262,36 @@ def test_the_isqrt_rule_sees_each_form():
     tree = ast.parse("import math\nfrom math import isqrt\n"
                      "math.isqrt(4)\nisqrt(9)\n")
     assert _isqrt_calls(tree) == [3, 4]
+
+
+def _class_tag_checks(tree):
+    # "ode.class_ is None", "ode.class_ is not None", "None == ode.class_"
+    hits = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Compare):
+            continue
+        operands = [node.left, *node.comparators]
+        if (any(isinstance(o, ast.Attribute) and o.attr == "class_"
+                for o in operands)
+                and any(isinstance(o, ast.Constant) and o.value is None
+                        for o in operands)):
+            hits.append(node.lineno)
+    return hits
+
+
+@pytest.mark.parametrize("path", _SOURCES, ids=lambda p: p.name)
+def test_the_class_is_decided_in_one_place(path):
+    # climit.classify_ode decides an operator's class; code that skips it
+    # for a record whose class_ is already set would trust a tag that
+    # classify_ode never wrote
+    hits = _class_tag_checks(_tree(path))
+    assert not hits, "%s tests class_ against None on line(s) %s" % (
+        path.name, hits)
+
+
+def test_the_class_tag_rule_sees_each_form():
+    tree = ast.parse("if ode.class_ is None:\n    pass\n"
+                     "ok = ode.class_ is not None\n"
+                     "same = None == ode.class_\n"
+                     "fine = ode.class_ == 'HE'\n")
+    assert _class_tag_checks(tree) == [1, 3, 4]
