@@ -231,10 +231,11 @@ class HeunODE(namedtuple("_HeunODE", "second first zeroth class_ rho "
 
     @property
     def accessory(self):
-        """The slot a canonical form leaves free once exponents are set."""
-        if self.class_ == "THE":
-            return self.coefficient("zeroth", 2)
-        return self.coefficient("zeroth", 1)
+        """The slot a canonical form leaves free once exponents are set,
+        read off classify_ode(self), whatever class_ the record holds.
+        Raises as classify_ode does."""
+        ode = classify_ode(self)
+        return ode.coefficient("zeroth", 2 if ode.class_ == "THE" else 1)
 
     def __repr__(self):
         tag = self.class_ if self.class_ else "unclassified"

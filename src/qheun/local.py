@@ -7,13 +7,13 @@ balance gives the mirrored quadratic.  Generic series coefficients then
 follow from a first-order recurrence; a vanishing recurrence denominator
 is reported as resonance rather than patched with logarithms.
 
-Exact data stays exact, an int q included.  The recurrence multipliers
-and the residual's terms are then built from integer parts: one
-Fraction normalisation per multiplier, and one per residual.  Float or
-complex data take plain arithmetic.  q = 0 is no shift base and is
-refused.
+Exact data stays exact, an int q included.  The recurrence and the
+residual are then built from integer parts: one Fraction normalisation
+per series order, and one per residual.  Float or complex data take
+plain arithmetic.  q = 0 is no shift base and is refused.
 """
 
+import cmath
 import math
 from fractions import Fraction
 from typing import NamedTuple, Optional
@@ -28,6 +28,10 @@ class DegenerateEquation(ValueError):
 
 class Resonance(ZeroDivisionError):
     """A recurrence denominator vanished at some positive order."""
+
+
+def _resonance(m):
+    return Resonance("recurrence denominator vanishes at order %d" % m)
 
 
 class UnboundParameter(ValueError):
@@ -83,22 +87,31 @@ def _int_root(n, k):
 _FLOAT_LIMIT = 2 ** 1024 - 2 ** 970
 
 
+def _finite(roots):
+    # float division overflows to inf where Fraction conversion raises
+    if any(isinstance(z, (float, complex)) and cmath.isinf(z) for z in roots):
+        raise OverflowError("a root is beyond the float range")
+    return roots
+
+
 def quad_roots(a, b, c):
     """Roots of a*s^2 + b*s + c, sorted by real and then imaginary part.
 
     Rational data with a rational square discriminant gives exact
-    Fraction roots.  Otherwise the square root is taken in complex
-    floats, and a root whose imaginary part is rounding noise is
-    returned as a real float.  A discriminant beyond the float range is
-    taken through an integer square root for rational data, and by
-    dividing out a power of two for float or complex data; a root beyond
-    the range then raises OverflowError.  When a = 0 the single root of
-    the linear equation is returned, and no root when b = 0 as well.
+    Fraction roots.  Otherwise the roots are floats: real data with a
+    negative discriminant gives a conjugate pair, and a root of the
+    complex square root whose imaginary part is rounding noise, below
+    1e-13 of its modulus, is returned as a real float.  A discriminant
+    beyond the float range is taken through an integer square root for
+    rational data, and by dividing out a power of two for float or
+    complex data.  When a = 0 the single root of the linear equation is
+    returned, and no root when b = 0 as well.  A float root beyond the
+    float range raises OverflowError.
     """
     # ints divide as Fractions, so integer data keeps exact roots
     a, b, c = (Fraction(v) if isinstance(v, int) else v for v in (a, b, c))
     if not a:
-        return (-c / b,) if b else ()
+        return _finite((-c / b,)) if b else ()
     disc = b * b - 4 * a * c
     root = exact_root(disc) if isinstance(disc, Fraction) else None
     if root is not None:
@@ -127,7 +140,8 @@ def quad_roots(a, b, c):
             disc = b * b - 4 * a * c
         if not isinstance(disc, complex) and disc < 0:
             # real data, complex roots: an exact conjugate pair, so the
-            # sort orders it by the sign of the imaginary part, not noise
+            # sort orders it by the sign of the imaginary part, and no
+            # imaginary part is noise
             re, im = float(-b / (2 * a)), math.sqrt(-disc) / abs(2 * a)
             pair = (complex(re, -im), complex(re, im))
         else:
@@ -138,10 +152,10 @@ def quad_roots(a, b, c):
             if (b.conjugate() * root).real < 0:
                 root = -root
             big = -(b + root) / 2
-            pair = (big / a, c / big if big else big)
-        pair = [z.real if abs(z.imag) < 1e-13 * (1 + abs(z)) else z
-                for z in pair]
-    return tuple(sorted(pair, key=lambda z: (z.real, z.imag)))
+            # noise is relative to the root's size; <= keeps a zero real
+            pair = [z.real if abs(z.imag) <= 1e-13 * abs(z) else z
+                    for z in (big / a, c / big if big else big)]
+    return tuple(sorted(_finite(pair), key=lambda z: (z.real, z.imag)))
 
 
 def _nonzero(roots):
@@ -181,7 +195,9 @@ class SeriesSolution(NamedTuple):
 
     The exponent enters as s = q^r only.  c[0] = 1.  ``sides`` keeps the
     numeric coefficient values (P, Z, M lists by degree) the series was
-    computed against, for callers that rebuild its recurrence.
+    computed against, for callers that rebuild its recurrence, and
+    ``equation`` the equation they are the values of (None in a record
+    built by hand), so that ``residual`` need not evaluate them again.
     """
     location: str
     s: object
@@ -189,6 +205,7 @@ class SeriesSolution(NamedTuple):
     q: object
     binding: dict
     sides: dict
+    equation: Optional[QDiffEq] = None
 
     def __repr__(self):
         return ("SeriesSolution(%s, s=%r, N=%d)"
@@ -215,24 +232,29 @@ def _exact(*values):
     return all(isinstance(v, (int, Fraction)) for v in values)
 
 
-def _integer_parts(up, mid, low, q, top, x=1):
-    """[(num_n, den_n) for n = 0..top], num_n/den_n = x^n (up q^n + mid +
-    low q^-n), for exact data, unreduced.
+def _integer_parts(triples, q, top, x=1):
+    """(nums, dens), with nums[k][n]/dens[n] = x^n (up q^n + mid + low q^-n)
+    for the k-th exact (up, mid, low) of ``triples`` and n = 0..top,
+    unreduced.
 
-    With q = a/b, x = c/d and up, mid, low = (U, Z, L)/D over one
-    integer denominator, num_n = c^n (U a^2n + Z a^n b^n + L b^2n) and
-    den_n = D d^n a^n b^n.
+    With q = a/b, x = c/d and every up, mid, low over one integer
+    denominator D, the k-th triple as (U, Z, L)/D: nums[k][n] = c^n (U
+    a^2n + Z a^n b^n + L b^2n) and dens[n] = D d^n a^n b^n, shared by
+    every triple.
     """
-    values = [Fraction(v) for v in (up, mid, low)]
-    lcd = math.lcm(*(v.denominator for v in values))
-    u, z, l = (v.numerator * (lcd // v.denominator) for v in values)
+    triples = [[Fraction(v) for v in triple] for triple in triples]
+    lcd = math.lcm(*(v.denominator for triple in triples for v in triple))
+    ints = [[v.numerator * (lcd // v.denominator) for v in triple]
+            for triple in triples]
     (a, b), (c, d) = q.as_integer_ratio(), x.as_integer_ratio()
-    out, an, bn, cn, dn = [], 1, 1, 1, 1
+    nums, dens = [[] for _ in triples], []
+    an, bn, cn, dn = 1, 1, 1, 1
     for _ in range(top + 1):
-        out.append((cn * ((u * an + z * bn) * an + l * bn * bn),
-                    lcd * dn * an * bn))
+        for row, (u, z, l) in zip(nums, ints):
+            row.append(cn * ((u * an + z * bn) * an + l * bn * bn))
+        dens.append(lcd * dn * an * bn)
         an, bn, cn, dn = an * a, bn * b, cn * c, dn * d
-    return out
+    return nums, dens
 
 
 def _shift_base(q):
@@ -253,11 +275,14 @@ def series_solution(eq: QDiffEq, binding, rootIndex=0, N=10):
 
     Exact data (q an int or Fraction, s and every side value exact) gives
     Fraction coefficients; an int q counts as the Fraction it equals.
-    With q = a/b, the multiplier P_k s q^n + Z_k + M_k q^-n/s
-    of c[n] from degree k is (P_k s a^2n + Z_k a^n b^n + M_k/s b^2n) /
-    (a^n b^n): the three constants of each degree go over one integer
-    denominator once, and each multiplier is one Fraction of two ints.
-    Float or complex data take the same recurrence in plain arithmetic.
+    With q = a/b and the constants P_k s, Z_k, M_k/s of all degrees k
+    over one integer denominator L, the multiplier P_k s q^n + Z_k +
+    M_k q^-n/s of c[n] from degree k is an int nums[k][n] over L (ab)^n,
+    so c[m] = -(sum_n nums[m-n][n] (ab)^(m-n) c[n]) / nums[0][m], and
+    nums[0][m] = 0 is the resonance.  The up to ``eq.degree`` terms of
+    the sum go over the lcm of their denominators in plain ints: one
+    Fraction, so one normalisation, per order.  Float or complex data
+    take the same recurrence in plain arithmetic.
     """
     if N < 0:
         raise ValueError("N must be nonnegative, not %d" % N)
@@ -273,12 +298,20 @@ def series_solution(eq: QDiffEq, binding, rootIndex=0, N=10):
                          % (rootIndex, len(roots)))
     s = roots[rootIndex]
 
+    coeffs = [1]
+    top = eq.degree
     if _exact(q, s, *pv, *zv, *mv):
-        parts = [_integer_parts(p * s, z, m / s, q, N)
-                 for p, z, m in zip(pv, zv, mv)]
-
-        def slot(k, n):
-            return Fraction(*parts[k][n])
+        nums, _ = _integer_parts(
+            [(p * s, z, m / s) for p, z, m in zip(pv, zv, mv)], q, N)
+        ab = math.prod(q.as_integer_ratio())
+        for m in range(1, N + 1):
+            if not nums[0][m]:
+                raise _resonance(m)
+            window = range(max(0, m - top), m)
+            den = math.lcm(*(coeffs[n].denominator for n in window))
+            num = sum(nums[m - n][n] * ab ** (m - n) * coeffs[n].numerator
+                      * (den // coeffs[n].denominator) for n in window)
+            coeffs.append(Fraction(-num, den * nums[0][m]))
     else:
         def slot(k, n):
             # multiplier of c[n] coming from degree-k coefficient slots
@@ -289,17 +322,15 @@ def series_solution(eq: QDiffEq, binding, rootIndex=0, N=10):
                 total += mv[k] * q ** (-n) / s
             return total
 
-    coeffs = [1]
-    top = eq.degree
-    for m in range(1, N + 1):
-        den = slot(0, m)
-        if not den:
-            raise Resonance("recurrence denominator vanishes at order %d" % m)
-        acc = 0
-        for n in range(max(0, m - top), m):
-            acc += slot(m - n, n) * coeffs[n]
-        coeffs.append(-acc / den)
-    return SeriesSolution("Zero", s, tuple(coeffs), q, binding, sides)
+        for m in range(1, N + 1):
+            den = slot(0, m)
+            if not den:
+                raise _resonance(m)
+            acc = 0
+            for n in range(max(0, m - top), m):
+                acc += slot(m - n, n) * coeffs[n]
+            coeffs.append(-acc / den)
+    return SeriesSolution("Zero", s, tuple(coeffs), q, binding, sides, eq)
 
 
 def residual(eq: QDiffEq, sol: SeriesSolution, x):
@@ -315,20 +346,27 @@ def residual(eq: QDiffEq, sol: SeriesSolution, x):
     once, at the end.  Every other term is a float or complex one and goes
     into a plain running sum.  q = 0 raises ValueError, as in
     ``series_solution``.
+
+    The side values are ``sol.sides`` when ``eq`` is ``sol.equation``
+    itself, and are evaluated from ``eq`` otherwise.  A record whose
+    ``binding`` was ``_replace``d without matching ``sides`` is an
+    unchecked record, as after every ``_replace`` in the package.
     """
     q, s = _shift_base(sol.q), sol.s
-    sides = _side_values(eq, sol.binding)
+    sides = (sol.sides if eq is sol.equation
+             else _side_values(eq, sol.binding))
     up, mid, low = (sum(v * x ** k for k, v in enumerate(sides[name]))
                     for name in "PZM")
     up, low = up * s, low / s
     exact = _exact(q, s, x, *sides["P"], *sides["Z"], *sides["M"])
     if exact:
-        parts = _integer_parts(up, mid, low, q, len(sol.coefficients) - 1, x)
+        (nums,), dens = _integer_parts([(up, mid, low)], q,
+                                       len(sol.coefficients) - 1, x)
     num, den, inexact = 0, 1, 0
     for n, coef in enumerate(sol.coefficients):
         if exact and isinstance(coef, (int, Fraction)):
-            tnum = coef.numerator * parts[n][0]
-            tden = coef.denominator * parts[n][1]
+            tnum = coef.numerator * nums[n]
+            tden = coef.denominator * dens[n]
             # one denominator need not divide the next: this gcd does work
             g = math.gcd(den, tden)
             num = num * (tden // g) + tnum * (den // g)

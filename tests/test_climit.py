@@ -361,6 +361,16 @@ def test_heun_ode_accessory_slot():
     assert ode.accessory == 3
 
 
+@pytest.mark.parametrize("tag", [None, "HE", "THE", "DHE"])
+def test_the_accessory_slot_comes_from_classify_ode(tag):
+    # the triconfluent rows keep their accessory in Q2, whatever the tag
+    ode = HeunODE((1,), (0, -3, 0, -1), (0, 0, 5, 2))
+    assert ode._replace(class_=tag).accessory == 5
+    assert classify_ode(ode).accessory == 5
+    heun = classify_ode(emit_ode(limit_coefficients(preset_family("heun"))))
+    assert heun._replace(class_=tag).accessory == 3
+
+
 # -- series ----------------------------------------------------------------
 
 def _operator_orders(ode, c):

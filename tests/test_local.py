@@ -251,6 +251,35 @@ def test_roots_of_float_data_whose_discriminant_overflows():
         quad_roots(1e-300, 1e200, 1.0)
 
 
+def test_a_float_root_beyond_the_range_raises():
+    # the discriminant 1e20 is finite, but -1e10/1e-300 is not a float,
+    # for float and for exact data
+    with pytest.raises(OverflowError):
+        quad_roots(1e-300, 1e10, 1.0)
+    with pytest.raises(OverflowError):
+        quad_roots(Fraction(1, 10 ** 300), 10 ** 10, 1)
+    # a conjugate pair whose imaginary part leaves the range
+    with pytest.raises(OverflowError):
+        quad_roots(1e-320, 0.0, 1e308)
+    # the linear equation's root as well; an exact one has no range
+    with pytest.raises(OverflowError):
+        quad_roots(0.0, 1e-300, 1e300)
+    assert quad_roots(0, Fraction(1, 10 ** 300), 10 ** 300) == (-10 ** 600,)
+
+
+@pytest.mark.parametrize("c, im", [(1e-100, 1e-50), (1e-20, 1e-10),
+                                   (1e-300, 1e-150)])
+def test_small_imaginary_parts_are_kept(c, im):
+    # s^2 + c = 0 has the roots +-i sqrt(c), however small: the pair of
+    # real data is exact, and noise in complex data is relative to |s|
+    assert quad_roots(1.0, 0.0, c) == (-im * 1j, im * 1j)
+    low, high = quad_roots(1j, 0, c * 1j)
+    assert low == pytest.approx(-im * 1j, rel=1e-15)
+    assert high == pytest.approx(im * 1j, rel=1e-15)
+    low, high = quad_roots(1j, im * 1j, 0)
+    assert high == 0 and low == pytest.approx(-im)
+
+
 def test_gauge_power_shifts_characteristic():
     eq = derive_equation("murata", "A4")
     base = char_exponents(eq, "Zero")
@@ -520,13 +549,43 @@ def test_series_repr_and_chardata_repr():
     assert isinstance(cz, CharData)
 
 
+def test_residual_reads_the_sides_of_its_own_equation_only():
+    # sol.sides stands in for the evaluation only when eq is the very
+    # equation the series came from; any other eq is evaluated afresh
+    b = _a4_binding(Fraction(2), Fraction(3))
+    eq = derive_equation("murata", "A4", b)
+    twin = derive_equation("murata", "A4", b)
+    assert twin == eq and twin is not eq
+    sol = series_solution(eq, {"q": b["q"]}, 0, 12)
+    assert sol.equation is eq
+    x = Fraction(-2, 7)
+    fresh = _plain_residual(sol.sides, b["q"], sol.s, sol.coefficients, x)
+    assert residual(eq, sol, x) == residual(twin, sol, x) == fresh
+    # a _replace'd coefficient tuple: both routes evaluate that tuple
+    cut = sol._replace(coefficients=sol.coefficients[:5])
+    fresh = _plain_residual(sol.sides, b["q"], sol.s, cut.coefficients, x)
+    assert residual(eq, cut, x) == residual(twin, cut, x) == fresh
+    # a record built by hand carries no equation, so nothing is reused
+    bare = SeriesSolution(*sol[:6])
+    assert bare.equation is None
+    assert residual(eq, bare, x) == residual(eq, sol, x)
+    # another equation is evaluated, not read off sol.sides
+    other = derive_equation("murata", "A4", _a4_binding(Fraction(2),
+                                                        Fraction(5)))
+    sides = {name: [other.coeff(name, k).evaluate(sol.binding)
+                    for k in range(other.degree + 1)] for name in "PZM"}
+    assert sides != sol.sides
+    assert residual(other, sol, x) == _plain_residual(
+        sides, b["q"], sol.s, sol.coefficients, x)
+
+
 def test_records_unpack_and_are_immutable():
     eq = _eq("1", "-2", "1")
     cz = char_exponents(eq, "Zero")
     location, c2, c1, c0, roots, regularity = cz
     assert cz == (location, c2, c1, c0, roots, regularity)
     sol = series_solution(eq, {"q": Fraction(1, 3)}, 0, 4)
-    assert len(sol) == 6 and sol[2] is sol.coefficients
+    assert len(sol) == 7 and sol[2] is sol.coefficients
     for record, field in ((cz, "roots"), (sol, "s")):
         with pytest.raises(AttributeError):
             setattr(record, field, None)
@@ -589,12 +648,16 @@ def _outcome(call):
 def _agree(eq, binding, index, N, xs):
     """series_solution and residual equal the plain loops, types too."""
     sol = series_solution(eq, binding, index, 0)
-    q, s, sides = binding["q"], sol.s, sol.sides
-    got = _outcome(lambda: series_solution(eq, binding, index,
-                                           N).coefficients)
-    assert got == _outcome(lambda: _plain_series(sides, q, s, N))
-    if isinstance(got[0], tuple):
+    # an int q counts as the Fraction it equals
+    q, s, sides = Fraction(binding["q"]), sol.s, sol.sides
+    try:
         sol = series_solution(eq, binding, index, N)
+    except ArithmeticError as exc:
+        got, sol = (type(exc).__name__, str(exc)), None
+    else:
+        got = _outcome(lambda: sol.coefficients)
+    assert got == _outcome(lambda: _plain_series(sides, q, s, N))
+    if sol:
         for x in xs:
             assert (_outcome(lambda: residual(eq, sol, x))
                     == _outcome(lambda: _plain_residual(
@@ -632,7 +695,8 @@ def test_q_zero_is_refused():
 
 @pytest.mark.parametrize("q, order", [
     (Fraction(1, 2), 1), (Fraction(1, 2), 3), (Fraction(-1, 2), 3),
-    (Fraction(2, 3), 2), (Fraction(3, 2), 2)])
+    (Fraction(2, 3), 2), (Fraction(3, 2), 2), (Fraction(3, 4), 37),
+    (2, 5), (-3, 4)])
 def test_resonance_keeps_its_order_and_text(q, order):
     # the roots 1 and q^order: s = 1 meets the other root at that order
     r = q ** order
@@ -734,6 +798,13 @@ def _rational_root_binding(eq, q, rng):
     raise AssertionError("no drawn binding pins a rational root")
 
 
+# one q of the series benchmark's depth per row, about N = 190, where the
+# coefficients run to tens of thousands of bits; five rows keep it short
+_DEEP_Q = {("murata", "A6"): Fraction(3, 5), ("murata", "A7p"): Fraction(3, 4),
+           ("kny", "E2a"): Fraction(2, 3), ("kny", "E3b"): 2,
+           ("murata", "A6s"): Fraction(-3, 5)}
+
+
 @pytest.mark.parametrize("catalog, family", _ORIGIN_ROWS,
                          ids=["%s-%s" % row for row in _ORIGIN_ROWS])
 def test_exact_path_equals_the_plain_loops_on_the_catalog(catalog, family):
@@ -746,3 +817,8 @@ def test_exact_path_equals_the_plain_loops_on_the_catalog(catalog, family):
             xs = (rng.choice((Fraction(1, 10), Fraction(-2, 7))),
                   rng.choice((Fraction(0), Fraction(3, 2), -1)))
             _agree(eq, binding, index, N, xs)
+    if (catalog, family) in _DEEP_Q:
+        binding, _ = _rational_root_binding(eq, _DEEP_Q[catalog, family], rng)
+        N = rng.randrange(186, 195)
+        coefficients, _ = _agree(eq, binding, 0, N, (Fraction(-2, 7),))
+        assert len(coefficients) == N + 1

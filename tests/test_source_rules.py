@@ -279,14 +279,61 @@ def _class_tag_checks(tree):
     return hits
 
 
+_SCOPES = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef,
+           ast.Lambda)
+
+
+def _own_nodes(scope):
+    # the nodes of one scope, without those of the scopes nested in it
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, _SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _calls_classify(node):
+    return isinstance(node, ast.Call) and (
+        getattr(node.func, "id", None) == "classify_ode"
+        or getattr(node.func, "attr", None) == "classify_ode")
+
+
+def _unclassified_tag_reads(tree):
+    # "self.class_ == 'THE'": a comparison of a class_ that no
+    # "name = classify_ode(...)" of the same scope wrote
+    hits = set()
+    for scope in ast.walk(tree):
+        if not isinstance(scope, _SCOPES):
+            continue
+        nodes = list(_own_nodes(scope))
+        classified = {target.id for node in nodes
+                      if isinstance(node, ast.Assign)
+                      and _calls_classify(node.value)
+                      for target in node.targets
+                      if isinstance(target, ast.Name)}
+        for node in nodes:
+            if isinstance(node, ast.Compare) and any(
+                    isinstance(o, ast.Attribute) and o.attr == "class_"
+                    and getattr(o.value, "id", None) not in classified
+                    for o in (node.left, *node.comparators)):
+                hits.add(node.lineno)
+    return sorted(hits)
+
+
 @pytest.mark.parametrize("path", _SOURCES, ids=lambda p: p.name)
 def test_the_class_is_decided_in_one_place(path):
     # climit.classify_ode decides an operator's class; code that skips it
-    # for a record whose class_ is already set would trust a tag that
-    # classify_ode never wrote
-    hits = _class_tag_checks(_tree(path))
+    # for a record whose class_ is already set, or that reads the tag of
+    # a record it did not classify, would trust a tag that classify_ode
+    # never wrote
+    tree = _tree(path)
+    hits = _class_tag_checks(tree)
     assert not hits, "%s tests class_ against None on line(s) %s" % (
         path.name, hits)
+    reads = _unclassified_tag_reads(tree)
+    assert not reads, "%s compares an unclassified class_ on line(s) %s" % (
+        path.name, reads)
 
 
 def test_the_class_tag_rule_sees_each_form():
@@ -295,3 +342,19 @@ def test_the_class_tag_rule_sees_each_form():
                      "same = None == ode.class_\n"
                      "fine = ode.class_ == 'HE'\n")
     assert _class_tag_checks(tree) == [1, 3, 4]
+
+
+def test_the_unclassified_tag_rule_sees_each_form():
+    tree = ast.parse("def accessory(self):\n"
+                     "    return self.class_ == 'THE'\n"
+                     "def reading(ode):\n"
+                     "    ode = classify_ode(ode)\n"
+                     "    return ode.class_ in ('THE', 'Other')\n"
+                     "def against(ode, raw):\n"
+                     "    ode = climit.classify_ode(ode)\n"
+                     "    return raw.class_ != ode.class_\n"
+                     "fine = ode.class_ == 'HE'\n"
+                     "def nested(ode):\n"
+                     "    ode = classify_ode(ode)\n"
+                     "    return lambda: ode.class_ == 'HE'\n")
+    assert _unclassified_tag_reads(tree) == [2, 8, 9, 12]
