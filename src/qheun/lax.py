@@ -42,8 +42,9 @@ its accessory closed form put in and its constraint solved for one name
 objects, and binding one builds new values and leaves the shared one as
 it was, so no call's binding can leak into another.  Nothing is built at
 import beyond the constraints, and the binding-dependent steps (the
-structural checks, the elimination, the specialization and the
-comparison) run every call.
+elimination, the specialization and the comparison) run every call.  The
+murata pencils' structural identities hold symbolically, so they are
+checked once, in the tests, not on each binding.
 """
 
 import functools
@@ -182,38 +183,14 @@ class LaxMatrix(namedtuple("_LaxMatrix", "family a11 a12 a21 a22 binding")):
     """A 2x2 matrix pencil A(x) with its family tag, as an immutable record.
 
     ``binding`` is the dict of the parameter binding the entries were
-    built with, so that later shifts x -> qx can use the bound base.  The
-    determinant is multiplied out once per record: ``scalar_reduce`` reuses
-    the one ``build_murata`` checked.  It is cached in the instance dict,
-    which pickles and copies with the record; ``__setattr__`` raises, so
-    no other attribute can be put there.
+    built with, so that later shifts x -> qx can use the bound base.
     """
 
-    def __setattr__(self, name, value):
-        raise AttributeError("LaxMatrix is immutable")
-
-    @functools.cached_property
-    def _det(self):
-        return self.a11 * self.a22 - self.a12 * self.a21
+    __slots__ = ()
 
     def det(self):
-        return self._det
+        return self.a11 * self.a22 - self.a12 * self.a21
 
-
-_MURATA_DET = {
-    "A4": "k1*k2*(x - a1*t)*(x - a2*t)*(x - a3)",
-    "A5": "k1*k2*x*(x - a1*t)*(x - a2*t)",
-    "A5s": "k1*k2*x*(x - a1*t)*(x - a3)",
-    "A6": "k1*k2*x^2*(x - a1*t)",
-    "A6s": "k1*k2*x^2*(x - a3)",
-    "A7": "k1*k2*x^3",
-    "A7p": "k1*k2*x^2",
-}
-
-_MURATA_EIGS = {
-    family: ("th1*t", "th2*t") if family == "A4" else ("th1*t", "0")
-    for family in MURATA_FAMILIES
-}
 
 _MU1 = {
     "A4": "(l - a1*t)*(l - a2*t)/(q*k1*m)",
@@ -272,19 +249,15 @@ def _murata_pencil(family):
     return a11, a12, a21, a22
 
 
-def _eq_on_surface(a, b, subst):
-    return ratfun_eq(a, b) or ratfun_eq(a.substitute(subst),
-                                        b.substitute(subst))
-
-
 def build_murata(params):
-    """Construct the matrix pencil and check its structural identities.
+    """Construct the matrix pencil of a parameter set.
 
-    Checks that the determinant equals the recorded factored product,
-    and that trace and determinant at x = 0 match the recorded
-    eigenvalue pair (for A4, on the constraint surface).  Raises
-    InvariantViolation on any failure, and SubstitutionSingular when the
-    binding zeroes a denominator of the entries (l = 0 or m = 0).
+    Raises SubstitutionSingular when the binding zeroes a denominator of
+    the entries (l = 0 or m = 0) or, for A4, the coefficient of the name
+    ``_surface`` solves the constraint for.  The pencil's identities (the
+    factored determinant, the trace and determinant at x = 0) hold
+    symbolically, for A4 modulo its constraint, so no accepted binding
+    breaks them.
     """
     family, binding = params.family, params.binding
     try:
@@ -292,23 +265,8 @@ def build_murata(params):
     except ZeroDivisionError:
         raise SubstitutionSingular("%s binding zeroes a denominator of the "
                                    "pencil" % family) from None
-    mat = LaxMatrix(family, *entries, binding=binding)
-    surface = _surface(family, binding)
-    det = mat.det()
-    stated = _mu(_MURATA_DET[family]).substitute(binding)
-    if not _eq_on_surface(det, stated, surface):
-        raise InvariantViolation("%s determinant differs from its recorded "
-                                 "factorisation" % family)
-    origin = {"x": rat(0)}
-    a11, a22 = (a.substitute(origin) for a in (mat.a11, mat.a22))
-    eig1, eig2 = (_mu(e).substitute(binding) for e in _MURATA_EIGS[family])
-    if not _eq_on_surface(a11 + a22, eig1 + eig2, surface):
-        raise InvariantViolation("%s trace at the origin differs from the "
-                                 "eigenvalue sum" % family)
-    if not _eq_on_surface(det.substitute(origin), eig1 * eig2, surface):
-        raise InvariantViolation("%s determinant at the origin differs from "
-                                 "the eigenvalue product" % family)
-    return mat
+    _surface(family, binding)
+    return LaxMatrix(family, *entries, binding=binding)
 
 
 def scalar_reduce(mat):
@@ -782,7 +740,8 @@ def derive_equation(catalog, family, binding=None, variant=None, gauge=None):
     Raises UnknownRoute, a ValueError (unknown names; a gauge given for a
     murata row, a variant for a kny row, or a variant the family does not
     admit), ValueError (a binding of an unknown or recipe-fixed name),
-    InvariantViolation (a broken constraint or identity),
+    InvariantViolation (a binding that breaks a constraint or a record's
+    checks, or a recipe whose factors do not clear its denominators),
     SubstitutionSingular (a binding that zeroes a denominator: of the kny
     pencil or the A4 constraint, of the murata pencil entries, as l = 0
     or m = 0, or of a recipe's set value or the relation at it, as a1 = 0

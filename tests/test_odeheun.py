@@ -140,6 +140,20 @@ def test_census_follows_the_degeneration_chain():
     assert tallies == counts
 
 
+@pytest.mark.parametrize("p", [
+    _he(t=F(7, 2)), _he(t=-3), CHEParams(2, 3, F(1, 2), 5, 7),
+    BHEParams(1, 1, 1, 1), DHEParams(2, 3, 4, 5), THEParams(1, 1, 1)],
+    ids=lambda p: p.CLASS + ("-t=%s" % p.t if p.CLASS == "HE" else ""))
+def test_census_names_the_operators_singularities(p):
+    # the record's census and classify_ode's reading of its rows are two
+    # representations of one point set, not always in one order:
+    # classify_ode lists t = -3 before 1
+    census = p.singular_points()
+    points = census["regular"] + census["irregular"]
+    assert len(set(points)) == len(points)
+    assert set(points) == set(to_operator(p).singularities)
+
+
 # -- expansion -------------------------------------------------------------
 
 def test_expand_he_example():

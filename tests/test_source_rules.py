@@ -76,6 +76,55 @@ def test_only_the_kernel_types_bypass_setattr(path):
         "%s calls object.__setattr__ on line(s) %s" % (path.name, hits))
 
 
+def _namedtuple_base(node):
+    # "namedtuple(...)" or "collections.namedtuple(...)"
+    return isinstance(node, ast.Call) and (
+        getattr(node.func, "id", None) == "namedtuple"
+        or getattr(node.func, "attr", None) == "namedtuple")
+
+
+def _unslotted_records(tree):
+    """(line, name) of each class with a namedtuple(...) call among its
+    bases whose body does not declare __slots__ = ()."""
+    hits = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.ClassDef)
+                and any(map(_namedtuple_base, node.bases))):
+            continue
+        if not any(ast.unparse(stmt) == "__slots__ = ()"
+                   for stmt in node.body):
+            hits.append((node.lineno, node.name))
+    return hits
+
+
+@pytest.mark.parametrize("path", _SOURCES, ids=lambda p: p.name)
+def test_namedtuple_records_have_no_instance_dict(path):
+    # a subclass of a namedtuple(...) class gets an instance dict unless
+    # it declares empty slots, and a dict is a place for state the fields
+    # do not hold, that == and hash do not see
+    hits = _unslotted_records(_tree(path))
+    assert not hits, "%s: records without __slots__ = () at %s" % (
+        path.name, hits)
+
+
+def test_the_slots_rule_sees_each_form():
+    tree = ast.parse("class A(namedtuple('_A', 'x')):\n"
+                     "    pass\n"
+                     "class B(Base, collections.namedtuple('_B', 'x')):\n"
+                     "    def f(self):\n"
+                     "        __slots__ = ()\n"
+                     "class C(namedtuple('_C', 'x')):\n"
+                     "    __slots__ = ('y',)\n"
+                     "class D(namedtuple('_D', 'x')):\n"
+                     "    __slots__ = ()\n"
+                     "class E(NamedTuple):\n"
+                     "    x: int\n"
+                     "class F(namedtuple('_F', 'x')):\n"
+                     "    __slots__ = __dict__ = ()\n")
+    assert _unslotted_records(tree) == [(1, "A"), (3, "B"), (6, "C"),
+                                        (12, "F")]
+
+
 _PICKLE_HOOKS = {"__reduce__", "__reduce_ex__", "MappingProxyType", "copyreg"}
 
 
