@@ -14,9 +14,10 @@ Exit codes: 0 success, 1 verification mismatch, 2 usage or parse error,
 3 domain error.  A reader that closes stdout early does not change the
 exit code; the rest of the output is discarded.
 
-Only the document plumbing (qdiff, symkernel) loads with this module;
-each command imports the submodules it runs on first use, so a command
-line loads no more of the package than its command needs.
+Only the document plumbing (qdiff, the xpoly that qdiff imports, and
+symkernel) loads with this module; each command imports the submodules it
+runs on first use, so a command line loads no more of the package than
+its command needs.
 """
 
 import argparse

@@ -15,9 +15,8 @@ import pytest
 from qheun.cli import read_equation, write_equation
 from qheun.climit import (classify_ode, crosscheck, emit_ode,
                           limit_coefficients, preset_family, preset_target)
-from qheun.gauge import (apply_record, eval_special, gauge_move_factor,
-                         invert_record, invert_variable, record_move_factor,
-                         record_power)
+from qheun.gauge import (apply_record, gauge_move_factor, invert_record,
+                         invert_variable, record_move_factor, record_power)
 from qheun.lax import (KNY_FAMILIES, MURATA_FAMILIES, MurataParams,
                        build_murata, derive_equation, scalar_reduce,
                        verify_family)
@@ -26,6 +25,8 @@ from qheun.odeheun import (BHEParams, CHEParams, DHEParams, HEParams,
                            THEParams, match_class, to_operator)
 from qheun.qdiff import NAMED_FORMS, QDiffEq, classify, equations_equal
 from qheun.symkernel import parse_expr, rat, ratfun_eq, sym
+
+from numeric_factors import eval_special
 
 _VARS = ("x", "z", "q", "t", "l", "m", "w", "d", "g", "k1", "k2",
          "th1", "th2", "a1", "a2", "a3",

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qheun.gauge import (
-    DomainError, NotDivisible, apply_record, eval_special, gauge_linear,
-    gauge_move_factor, gauge_power, invert_record, invert_variable,
-    record_invert, record_linear, record_move_factor, record_power,
-    record_rebase)
+    NotDivisible, apply_record, gauge_linear, gauge_move_factor, gauge_power,
+    invert_record, invert_variable, record_invert, record_linear,
+    record_move_factor, record_power, record_rebase)
 from qheun.qdiff import (
     NAMED_FORMS, QDiffEq, classify, equations_equal, equations_proportional)
 from qheun.symkernel import parse_expr, rat, ratfun_eq, sym
+
+from numeric_factors import DomainError, eval_special
 
 U = ["q", "t", "a", "b", "c", "g1", "g2", "b1", "b0", "k1", "l", "x"]
 

@@ -1165,6 +1165,67 @@ def test_new_bindings_parse_nothing_and_grow_no_cache(monkeypatch):
     assert [cache.cache_info().currsize for cache in caches] == sizes
 
 
+def _counting_builds(monkeypatch, catalog):
+    """The list each pencil build of ``catalog`` appends its family to."""
+    name = "build_murata" if catalog == "murata" else "build_kny"
+    build, built = getattr(lax, name), []
+
+    def counting(params):
+        built.append(params.family)
+        return build(params)
+
+    monkeypatch.setattr(lax, name, counting)
+    return built
+
+
+@pytest.mark.parametrize("catalog, family", [("murata", "A4"),
+                                             ("kny", "E3a")])
+def test_symbolic_verify_derives_once_and_bound_verify_every_call(
+        monkeypatch, catalog, family):
+    for cache in _lax_caches():
+        cache.cache_clear()
+    built = _counting_builds(monkeypatch, catalog)
+    reports = [verify_family(catalog, family, binding)
+               for binding in (None, {}, None)]
+    assert built == [family]
+    assert reports[0] == reports[1] == reports[2]
+    # each call builds its own report
+    assert reports[0] is not reports[2]
+    reports[0]["discrepancies"].append(None)
+    assert verify_family(catalog, family)["discrepancies"] == []
+    # a binding replays the derivation, the pencil build included
+    binding = _partial_binding(catalog, random.Random(5))
+    for _ in range(2):
+        verify_family(catalog, family, binding)
+    assert built == [family] * 3
+
+
+@pytest.mark.parametrize("catalog, family", _ROWS)
+def test_the_surface_derivation_is_shared_and_left_as_built(catalog, family):
+    derived = lax._surface_derivation(catalog, family)
+    assert lax._surface_derivation(catalog, family) is derived
+    assert verify_family(catalog, family)["match"] is True
+    cold = derive_equation(catalog, family, lax._surface(family, {}))
+    assert cold is not derived
+    assert equations_equal(derived, cold)
+
+
+@pytest.mark.parametrize("catalog, family, message", [
+    ("other", "A4", "unknown catalog 'other' (have murata, kny)"),
+    ("murata", "D5", "unknown matrix-pencil family 'D5' (have A4, A5, A5s, "
+                     "A6, A6s, A7, A7p)"),
+    ("kny", "A4", "unknown operator-pencil family 'A4' (have D5, A4w, E3a, "
+                  "E3b, E2a, E2b, A1w, A1w8)")])
+def test_unknown_names_are_refused_and_leave_no_cache_entry(catalog, family,
+                                                            message):
+    size = lax._surface_derivation.cache_info().currsize
+    for binding in (None, {}):
+        with pytest.raises(lax.UnknownRoute) as info:
+            verify_family(catalog, family, binding)
+        assert str(info.value) == message
+    assert lax._surface_derivation.cache_info().currsize == size
+
+
 # -- the on-surface route of verify_family -----------------------------------
 
 def _slot_by_slot(catalog, family, binding=None):

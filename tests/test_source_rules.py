@@ -407,3 +407,57 @@ def test_the_unclassified_tag_rule_sees_each_form():
                      "    ode = classify_ode(ode)\n"
                      "    return lambda: ode.class_ == 'HE'\n")
     assert _unclassified_tag_reads(tree) == [2, 8, 9, 12]
+
+
+# the names a shared cache may be keyed by: a table text, a catalog, a
+# family and a constraint name; a binding as a key would keep every
+# binding ever seen alive, and hand one caller's value to the next
+_CACHE_KEYS = {"text", "catalog", "family", "name"}
+
+
+def _is_cache(decorator):
+    # "functools.cache", "cache", "functools.lru_cache(maxsize=None)",
+    # "lru_cache"
+    if isinstance(decorator, ast.Call):
+        decorator = decorator.func
+    name = (decorator.attr if isinstance(decorator, ast.Attribute)
+            else getattr(decorator, "id", None))
+    return name in ("cache", "lru_cache")
+
+
+def _cache_keys_outside(tree):
+    """(line, function) of each cached function with a parameter whose
+    name is not in _CACHE_KEYS, or with *args or **kwargs."""
+    hits = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and any(map(_is_cache, node.decorator_list))):
+            continue
+        args = node.args
+        names = [a.arg for a in (*args.posonlyargs, *args.args,
+                                 *args.kwonlyargs)]
+        if args.vararg or args.kwarg or not set(names) <= _CACHE_KEYS:
+            hits.append((node.lineno, node.name))
+    return hits
+
+
+@pytest.mark.parametrize("path", _SOURCES, ids=lambda p: p.name)
+def test_caches_are_keyed_by_names_only(path):
+    # a per-family value is built once and shared; a binding is never
+    # part of its key, so no call's binding reaches another call
+    hits = _cache_keys_outside(_tree(path))
+    assert not hits, "%s caches on other parameters at %s" % (path.name,
+                                                               hits)
+
+
+def test_the_cache_key_rule_sees_each_form():
+    tree = ast.parse("@functools.cache\ndef a(catalog, family): pass\n"
+                     "@functools.cache\ndef b(family, binding): pass\n"
+                     "@cache\ndef c(text, *, binding=None): pass\n"
+                     "@functools.lru_cache(maxsize=None)\n"
+                     "def d(name, /, *rest): pass\n"
+                     "@lru_cache\ndef e(family, **options): pass\n"
+                     "def f(binding): pass\n"
+                     "@functools.cache\ndef g(text): pass\n")
+    assert _cache_keys_outside(tree) == [(4, "b"), (6, "c"), (8, "d"),
+                                         (10, "e")]
